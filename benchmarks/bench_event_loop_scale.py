@@ -8,7 +8,7 @@ that make that feasible on one machine:
 
 * **Throughput** — ``mode="summary"`` with a presorted stream and the
   per-shape cost memo must be **≥10×** the events/sec of the pre-PR
-  loop (the general heap path recosting every request, materializing a
+  loop (the general event loop recosting every request, materializing a
   full report) on the 100k-request fifo/none configuration, and the
   million-request run must clear an absolute events/sec floor.
 * **O(1) memory** — the summary mode's peak traced memory must be
@@ -69,9 +69,9 @@ SPEEDUP_FLOOR = 10.0
 class _HeapPathNoneBatcher(NoneBatcher):
     """Batch-1 policy that *overrides* ``hold_until`` (returning ``now``
     unchanged), which defeats the no-hold fast-path detection and forces
-    ``run_stream`` onto the general heap loop — the pre-PR code path.
-    Timeline-identical to ``"none"``; only the loop machinery differs,
-    which is exactly what the baseline should measure."""
+    ``run_stream`` onto the general event loop.  Timeline-identical to
+    ``"none"``; only the loop machinery differs, which is exactly what
+    the baseline should measure."""
 
     def hold_until(self, queue, now):
         return now

@@ -4,8 +4,10 @@ PR 7 added seeded fault injection (``repro.serving.faults``): replica
 crashes with recovery, heavy-tail stragglers, priority preemption, and
 per-request timeouts/retries/hedges.  The perfect-machine contract is
 that ``faults="none"`` is not merely *statistically* identical to a run
-that never mentions faults — it is the **same code path**, so the
-report is bit-identical and the event-loop throughput unchanged.  This
+that never mentions faults — it is the **same code path** (a fault-free
+single replica keeps its no-heap fast path; anything else runs the one
+general loop, which schedules no fault event), so the report is
+bit-identical and the event-loop throughput unchanged.  This
 benchmark guards that contract and records what faults actually cost:
 
 * **No-fault parity** — a full-mode stream served with no fault
@@ -15,9 +17,10 @@ benchmark guards that contract and records what faults actually cost:
 * **Overhead floor** — events/s of the ``faults="none"`` summary run
   must stay within noise of the fault-free baseline (floor 0.7x, far
   above any real regression; both sides run the identical loop).  The
-  chaos-mode throughput is recorded alongside for the curious — the
-  fault loop pays for copy tracking and crash timelines, so it is
-  allowed to be slower, not the default path.
+  chaos-mode throughput is recorded alongside for the curious — it
+  leaves the single-replica fast path for the general loop and pays
+  for crash timelines, stragglers and preemption, so it is allowed to
+  be slower.
 * **SLO-vs-crash-rate sweep** — a 2-replica fleet at a fixed arrival
   rate, swept across mean-time-between-failure values.  Attainment
   under the harshest crash regime must not beat the perfect machine,

@@ -2,7 +2,7 @@
 
 One simulation drives both :meth:`ServingEngine.serve_stream` (a single
 replica) and :meth:`Fleet.serve_stream` (N replicas behind a
-dispatcher).  Three event kinds flow through the simulation:
+dispatcher).  Three event kinds carry every fault-free stream:
 
 * ``FREE`` — a replica finishes an execution and consults its batcher
   for the next one.
@@ -17,21 +17,23 @@ dispatcher).  Three event kinds flow through the simulation:
   equal timestamps so a request arriving exactly at the deadline still
   joins the batch.
 
-Four more kinds exist only in the fault-aware loop (entered when a
-:class:`~repro.serving.faults.FaultPolicy` other than ``"none"`` — or a
-timeout/hedge — is configured): ``CRASH``/``RECOVER`` bracket a
-replica's downtime (the in-flight batch aborts and requeues; recovery
-rebuilds the engine through the replica factory, re-paying compile
-warmup), ``TIMEOUT`` expires a request attempt (bounded retries, then a
-``"timeout"`` outcome), and ``HEDGE`` dispatches a duplicate copy whose
-first completion wins.  ``faults="none"`` never enters that loop, so
-every existing timeline stays bit-identical and pays zero overhead.
+Four more kinds model unreliable hardware and its mitigations, and are
+only ever scheduled when a :class:`~repro.serving.faults.FaultPolicy`
+other than ``"none"``, a timeout or a hedge is configured:
+``CRASH``/``RECOVER`` bracket a replica's downtime (the in-flight batch
+aborts and requeues; recovery rebuilds the engine through the replica
+factory, re-paying compile warmup), ``TIMEOUT`` expires a request
+attempt (bounded retries, then a ``"timeout"`` outcome), and ``HEDGE``
+dispatches a duplicate copy whose first completion wins.  A timeout
+that never fires therefore leaves every timeline, assignment and
+summary bit-identical to the fault-free run.
 
 The loop is O(n log n) in the number of requests and — this is the
-million-request point — **O(1) in memory** along three axes:
+million-request point — never holds the stream in memory:
 
-* arrivals are consumed *incrementally*: only FREE/LAUNCH events live in
-  the heap, and the next arrival is peeked from the (possibly lazy)
+* arrivals are consumed *incrementally*: the heap holds per-replica
+  events (plus, with timeouts or hedges, one per request until it
+  expires), and the next arrival is peeked from the (possibly lazy)
   input stream, so a generator or JSONL trace never materializes;
 * with ``presorted=True``, :func:`normalize_arrivals` skips the
   materialize+sort+duplicate-set pass entirely and instead validates
@@ -41,15 +43,17 @@ million-request point — **O(1) in memory** along three axes:
 * with a :class:`~repro.serving.stats.StreamSummary` sink, responses
   are folded into O(1) online accumulators instead of being collected.
 
-Two specialized loops peel off the hot common cases before the general
-heap: a single replica with a non-holding batcher needs no event heap at
-all (completions and arrivals merge in order), and the FIFO/unbatched
+Every stream with several replicas, a holding batcher, an autoscaler or
+any fault feature runs the one general loop.  Two specialized loops peel
+off the hot single-replica cases when faults, timeouts and hedges are
+all off: a single replica with a non-holding batcher needs no event heap
+at all (completions and arrivals merge in order), and the FIFO/unbatched
 configuration — the paper's serving scenario — additionally needs no
 scheduler queue, reducing each request to a handful of float ops.  Every
 path evaluates ``start = max(arrival, replica_free_at)`` with the same
-floats in the same order, so the FIFO + ``"none"`` timeline stays
-bit-for-bit identical to the pre-refactor sequential simulations (pinned
-by the golden parity tests).
+floats in the same order, so the FIFO timeline stays bit-for-bit
+identical to the pre-refactor sequential simulations (pinned by the
+golden parity tests).
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from repro.serving.autoscaler import Autoscaler, ScaleEvent
 from repro.serving.batching import Batcher, NoneBatcher
 from repro.serving.faults import FaultPolicy, NoFaults
 from repro.serving.request import ServeRequest, ServeResponse
-from repro.serving.result import FaultStats
+from repro.serving.result import FaultStats, ServingResult
 from repro.serving.scheduler import FIFOScheduler, QueuedRequest, Scheduler
 from repro.workloads.deepbench import RNNTask
 
@@ -82,10 +86,9 @@ __all__ = [
 #: Event kinds; FREE sorts before ARRIVAL at equal timestamps so an
 #: arrival always sees the replica's settled state, and LAUNCH sorts
 #: after ARRIVAL so a same-instant arrival can join the launching batch.
-#: RECOVER (fault loop only) sorts with FREE — a replica recovering at
-#: an arrival's instant may take it — while CRASH/TIMEOUT/HEDGE sort
-#: after ARRIVAL, so a same-instant arrival is admitted before the
-#: fault strikes.
+#: RECOVER sorts with FREE — a replica recovering at an arrival's
+#: instant may take it — while CRASH/TIMEOUT/HEDGE sort after ARRIVAL,
+#: so a same-instant arrival is admitted before the fault strikes.
 _FREE, _RECOVER, _ARRIVAL, _LAUNCH, _CRASH, _TIMEOUT, _HEDGE = range(7)
 
 _INF = float("inf")
@@ -169,8 +172,8 @@ class StreamOutcome:
             replicas included) — the peak capacity the run used.
         active_replicas: Replicas still active when the stream drained
             (equal to ``n_replicas`` unless the autoscaler scaled down).
-        fault_stats: Injected-fault counters (all zero outside the
-            fault-aware loop).
+        fault_stats: Injected-fault counters (all zero on a fault-free
+            run).
 
     Example::
 
@@ -340,7 +343,7 @@ def run_stream(
             returned outcome carries empty ``responses``/``assignments``.
         faults: Optional :class:`~repro.serving.faults.FaultPolicy`
             instance; anything other than ``"none"`` routes the stream
-            through the fault-aware loop.  The loop calls
+            through the general loop.  The loop calls
             ``faults.reset(fault_seed)``, so a given seed reproduces the
             same crash/straggler timeline on every run.
         fault_seed: Seed for the fault policy's deterministic draws.
@@ -402,40 +405,17 @@ def run_stream(
 
     stream = normalize_arrivals(arrivals, presorted=presorted)
 
-    # Any real fault policy — or a timeout/hedge, which are loop
-    # features independent of the policy — routes through the separate
-    # fault-aware loop.  ``faults="none"`` alone does not: the perfect-
-    # machine paths below run untouched, bit-identical and overhead-free.
-    if (
-        (faults is not None and faults.name != "none")
-        or timeout_ms is not None
-        or hedge_ms is not None
-    ):
-        policy = faults if faults is not None else NoFaults()
-        policy.reset(fault_seed)
-        return _run_faulty(
-            stream,
-            engine_list,
-            scheduler_list,
-            batcher_list,
-            bind_cost,
-            dispatch,
-            slo_ms,
-            autoscaler,
-            replica_factory,
-            summary,
-            policy,
-            timeout_ms,
-            retries,
-            hedge_ms,
-        )
-
-    # A single replica whose batcher never holds (the base
+    # A fault-free single replica whose batcher never holds (the base
     # ``hold_until`` is un-overridden) needs no event heap: completions
     # and arrivals merge in time order directly.  This covers the
-    # paper's serving scenario and both benchmark configurations.
+    # paper's serving scenario.  Every other stream — several replicas,
+    # a holding batcher, an autoscaler, a real fault policy, a timeout
+    # or a hedge — runs the general loop.
     if (
-        len(engine_list) == 1
+        (faults is None or faults.name == "none")
+        and timeout_ms is None
+        and hedge_ms is None
+        and len(engine_list) == 1
         and autoscaler is None
         and type(batcher_list[0]).hold_until is Batcher.hold_until
     ):
@@ -449,7 +429,9 @@ def run_stream(
             stream, engine_list[0], scheduler, batcher, dispatch, slo_ms, summary
         )
 
-    return _run_heap(
+    policy = faults if faults is not None else NoFaults()
+    policy.reset(fault_seed)
+    return _run_general(
         stream,
         engine_list,
         scheduler_list,
@@ -460,6 +442,10 @@ def run_stream(
         autoscaler,
         replica_factory,
         summary,
+        policy,
+        timeout_ms,
+        retries,
+        hedge_ms,
     )
 
 
@@ -698,232 +684,19 @@ def _batch_exec_task(entries: "list[QueuedRequest]", batcher: Batcher) -> RNNTas
     return exec_task
 
 
-def _run_heap(
-    stream: Iterable[ServeRequest],
-    engine_list: "list[ServingEngine]",
-    scheduler_list: "list[Scheduler]",
-    batcher_list: "list[Batcher]",
-    bind_cost: Callable[[int], None],
-    dispatch: "Dispatcher | StreamDispatcher",
-    slo_ms: float | None,
-    autoscaler: Autoscaler | None,
-    replica_factory: ReplicaFactory | None,
-    summary: "StreamSummary | None",
-) -> StreamOutcome:
-    """The general loop: N replicas, holds, autoscaling.
-
-    Only FREE and LAUNCH events live in the heap; arrivals are peeked
-    one at a time from the (possibly lazy) sorted stream, so the heap
-    size is bounded by the replica count, not the stream length.
-    """
-    collect = summary is None
-    rich = isinstance(dispatch, StreamDispatcher)
-    responses: list[ServeResponse | None] = []
-    assignments: list[int] = []
-    observe = None if collect else summary.observe_served
-    assign_note = None if collect else summary.note_assignment
-    #: Projected completion of all work assigned to each replica; the
-    #: dispatch signal (identical to the pre-refactor ``free_at``).  The
-    #: projection assumes unbatched service, so with batching it is an
-    #: upper bound — still the right join-the-shortest-queue signal.
-    work_until = [0.0] * len(engine_list)
-    busy = [False] * len(engine_list)
-    #: Pending LAUNCH deadline per replica (None = not holding); a
-    #: LAUNCH event is stale unless its time matches exactly.
-    hold_at: list[float | None] = [None] * len(engine_list)
-    active = len(engine_list)
-    scale_events: list[ScaleEvent] = []
-    if autoscaler is not None:
-        autoscaler.reset()
-    if rich:
-        dispatch.bind(engine_list)
-        dispatch.resize(active, work_until)
-
-    events: list[tuple[float, int, int]] = []
-
-    def add_replica() -> None:
-        if replica_factory is None:
-            raise ServingError("autoscaler needs a replica_factory to scale up")
-        engine, scheduler, batcher = replica_factory(len(engine_list))
-        engine_list.append(engine)
-        scheduler_list.append(scheduler)
-        batcher_list.append(batcher)
-        work_until.append(0.0)
-        busy.append(False)
-        hold_at.append(None)
-        bind_cost(len(engine_list) - 1)
-
-    def autoscale(now: float) -> None:
-        nonlocal active
-        depth = sum(len(scheduler_list[j]) for j in range(active))
-        wait = min(max(work_until[j] - now, 0.0) for j in range(active))
-        decision = autoscaler.decide(
-            now=now,
-            active=active,
-            queue_depth=depth,
-            projected_wait_s=wait,
-            slo_ms=slo_ms,
-        )
-        if decision is None or decision.target == active:
-            return
-        while len(engine_list) < decision.target:
-            add_replica()
-        active = decision.target
-        # Cooldown is charged only here, once the resize actually took
-        # effect — decide() itself is side-effect free.
-        autoscaler.note_applied(now)
-        scale_events.append(
-            ScaleEvent(
-                time_s=now,
-                action=decision.action,
-                replicas=active,
-                queue_depth=depth,
-                reason=decision.reason,
-            )
-        )
-        if rich:
-            dispatch.resize(active, work_until)
-
-    def launch(replica: int, now: float) -> None:
-        queue = scheduler_list[replica]
-        batcher = batcher_list[replica]
-        ready_at = batcher.hold_until(queue, now)
-        if ready_at > now:
-            if hold_at[replica] != ready_at:
-                # A LAUNCH for this exact deadline is not yet scheduled
-                # (re-entered holds with an unchanged deadline reuse the
-                # event already in the heap).
-                hold_at[replica] = ready_at
-                heapq.heappush(events, (ready_at, _LAUNCH, replica))
-            return
-        hold_at[replica] = None
-        entries = batcher.take(queue, now)
-        if not entries:
-            raise ServingError(f"batcher {batcher.name!r} returned an empty batch")
-        head = entries[0]
-        start = max(head.request.arrival_s, now)
-        if len(entries) == 1:
-            # The exact pre-batching arithmetic: parity for batcher="none".
-            finish = start + head.service_s
-            if collect:
-                responses[head.seq] = ServeResponse(
-                    request=head.request,
-                    result=head.result,
-                    queue_delay_s=start - head.request.arrival_s,
-                    start_s=start,
-                    finish_s=finish,
-                )
-            else:
-                observe(head.request, head.result, start, finish, 1)
-        else:
-            exec_task = _batch_exec_task(entries, batcher)
-            engine = engine_list[replica]
-            result = engine.serve_batched(exec_task, len(entries))
-            finish = start + result.latency_s
-            size = len(entries)
-            for index, entry in enumerate(entries):
-                if collect:
-                    responses[entry.seq] = ServeResponse(
-                        request=entry.request,
-                        result=result,
-                        queue_delay_s=start - entry.request.arrival_s,
-                        start_s=start,
-                        finish_s=finish,
-                        batch_size=size,
-                        batch_index=index,
-                    )
-                else:
-                    observe(entry.request, result, start, finish, size)
-        busy[replica] = True
-        heapq.heappush(events, (finish, _FREE, replica))
-
-    arrival_iter = iter(stream)
-    next_req = next(arrival_iter, None)
-    seq = 0
-    while events or next_req is not None:
-        # Does the next arrival precede every heap event?  FREE sorts
-        # before ARRIVAL at equal stamps, LAUNCH after — the same total
-        # order the materialized heap produced.
-        if next_req is not None:
-            if events:
-                top = events[0]
-                arrival_s = next_req.arrival_s
-                take_arrival = arrival_s < top[0] or (
-                    arrival_s == top[0] and top[1] == _LAUNCH
-                )
-            else:
-                take_arrival = True
-        else:
-            take_arrival = False
-        if take_arrival:
-            req = next_req
-            now = req.arrival_s
-            if autoscaler is not None:
-                autoscale(now)
-            if rich:
-                replica = dispatch.choose(seq, req)
-            else:
-                view = (
-                    work_until
-                    if active == len(work_until)
-                    else work_until[:active]
-                )
-                replica = dispatch(seq, req, view)
-            if not 0 <= replica < active:
-                raise ServingError(f"dispatcher chose invalid replica {replica}")
-            engine = engine_list[replica]
-            result = engine.result_for(req.task)
-            entry = QueuedRequest(
-                seq=seq,
-                request=req,
-                result=result,
-                service_s=result.latency_s,
-                deadline_s=req.deadline_s(slo_ms),
-            )
-            work_until[replica] = (
-                max(req.arrival_s, work_until[replica]) + result.latency_s
-            )
-            if rich:
-                dispatch.assign(replica, work_until[replica])
-            if collect:
-                responses.append(None)
-                assignments.append(replica)
-            else:
-                assign_note(replica)
-            scheduler_list[replica].push(entry)
-            if not busy[replica]:
-                launch(replica, now)
-            seq += 1
-            next_req = next(arrival_iter, None)
-            continue
-        now, kind, index = heapq.heappop(events)
-        if kind == _FREE:
-            busy[index] = False
-            if autoscaler is not None:
-                autoscale(now)
-            if len(scheduler_list[index]):
-                launch(index, now)
-        else:  # _LAUNCH: stale unless this exact hold is still pending
-            if busy[index] or hold_at[index] != now:
-                continue
-            if len(scheduler_list[index]):
-                launch(index, now)
-            else:
-                hold_at[index] = None
-
-    if seq == 0:
-        raise ServingError("serve_stream needs at least one request")
-    return StreamOutcome(
-        responses=responses,  # type: ignore[arg-type]
-        assignments=assignments,
-        scale_events=tuple(scale_events),
-        n_replicas=len(engine_list),
-        active_replicas=active,
-    )
+def _live(entry: "_Flight | _Copy") -> bool:
+    """Whether a ready-queue entry still serves its flight's current
+    attempt (stale copies are cancelled without reaching into the
+    scheduler)."""
+    flight = entry.flight
+    return not flight.done and flight.attempts == entry.attempt
 
 
-class _Flight:
-    """One request's life inside the fault-aware loop.
+@dataclass(eq=False, slots=True)
+class _Flight(QueuedRequest):
+    """One request's life inside the general loop — and the ready-queue
+    entry of its first dispatch (``result`` is that dispatch's batch-1
+    result).
 
     A request may have several live *copies* (retries, hedges, requeues
     after a crash or preemption) in queues and in flight at once; the
@@ -933,31 +706,34 @@ class _Flight:
     memory stays O(in-system), not O(stream).
     """
 
-    __slots__ = (
-        "index",
-        "request",
-        "result",
-        "factor",
-        "deadline_s",
-        "attempts",
-        "hedged",
-        "done",
-    )
+    index: int = 0
+    factor: float = 1.0
+    attempts: int = 1
+    hedged: bool = False
+    done: bool = False
 
-    def __init__(
-        self, index: int, request: ServeRequest, factor: float, deadline_s: float
-    ) -> None:
-        self.index = index
-        self.request = request
-        self.result = None  # batch-1 result, filled at first dispatch
-        self.factor = factor
-        self.deadline_s = deadline_s
-        self.attempts = 1
-        self.hedged = False
-        self.done = False
+    #: As its own first copy, a flight serves attempt 1 and is no hedge.
+    attempt = 1
+    hedge = False
+
+    @property
+    def flight(self) -> "_Flight":
+        """The flight a copy belongs to: for the first copy, itself."""
+        return self
 
 
-def _run_faulty(
+@dataclass(eq=False, slots=True)
+class _Copy(QueuedRequest):
+    """A later copy of a :class:`_Flight` (retry, hedge, or requeue after
+    an aborted execution): a ready-queue entry that also carries its
+    flight, the attempt it serves and whether it is a hedge."""
+
+    flight: "_Flight | None" = None
+    attempt: int = 1
+    hedge: bool = False
+
+
+def _run_general(
     stream: Iterable[ServeRequest],
     engine_list: "list[ServingEngine]",
     scheduler_list: "list[Scheduler]",
@@ -973,17 +749,22 @@ def _run_faulty(
     retries: int,
     hedge_ms: float | None,
 ) -> StreamOutcome:
-    """The unreliable-hardware loop: crashes, stragglers, timeouts,
-    hedges, and preemption on top of the general heap simulation.
+    """The general loop: N replicas, holding batchers, autoscaling, and
+    unreliable hardware (crashes, stragglers, preemption, timeouts,
+    hedges).  With :class:`~repro.serving.faults.NoFaults` and no
+    timeout/hedge only FREE and LAUNCH events ever enter the heap.
 
-    Never entered for ``faults="none"`` without a timeout/hedge, so it
-    adds zero cost to the perfect-machine paths.  Structure mirrors
-    :func:`_run_heap` with three extensions:
+    Arrivals are peeked one at a time from the (possibly lazy) sorted
+    stream, so the heap never holds the stream itself.  On top of plain
+    dispatch and batching:
 
-    * every scheduler entry is a *copy* of a :class:`_Flight`; stale
-      copies (superseded attempts, already-resolved requests) are
-      filtered out when a batch launches or completes, which is how
-      cancellation works without reaching into scheduler internals;
+    * every scheduler entry is a copy of a request's :class:`_Flight` —
+      the flight itself on first dispatch, a :class:`_Copy` for retries,
+      hedges and requeues; stale copies (superseded attempts,
+      already-resolved requests) are filtered out when a batch launches
+      or completes, which is how cancellation works without reaching
+      into scheduler internals.  Only retries and hedges make copies
+      stale, so without them the filtering is skipped;
     * replicas carry a ``dead`` flag and a generation counter — bumping
       the generation invalidates the scheduled FREE of an aborted
       (crashed or preempted) execution, whose live members requeue;
@@ -997,15 +778,22 @@ def _run_faulty(
     """
     collect = summary is None
     rich = isinstance(dispatch, StreamDispatcher)
+    choose = dispatch.choose if rich else None
+    assign = dispatch.assign if rich else None
     responses: list[ServeResponse | None] = []
     assignments: list[int] = []
     observe = None if collect else summary.observe_served
     assign_note = None if collect else summary.note_assignment
     n_start = len(engine_list)
+    #: Projected completion of all work assigned to each replica: the
+    #: join-the-shortest-queue dispatch signal.  The projection assumes
+    #: unbatched service, so with batching it is an upper bound.
     work_until = [0.0] * n_start
     busy = [False] * n_start
     dead = [False] * n_start
     generation = [0] * n_start
+    #: Pending LAUNCH deadline per replica (None = not holding); a
+    #: LAUNCH event is stale unless its time matches exactly.
     hold_at: list[float | None] = [None] * n_start
     #: Per-replica in-flight execution: (live entries, start, finish,
     #: result, batch size); None when idle/aborted.
@@ -1020,11 +808,18 @@ def _run_faulty(
 
     timeout_s = None if timeout_ms is None else timeout_ms / 1e3
     hedge_s = None if hedge_ms is None else hedge_ms / 1e3
+    #: Only retries and hedges leave a flight with two live copies, so
+    #: without them no copy is ever stale and the checks are skipped.
+    cancellable = timeout_s is not None or hedge_s is not None
+    # Policy hooks the base class leaves as no-ops are not called per
+    # arrival (a hook wrapped on the instance still is).
+    straggler = policy.straggler_factor
+    if getattr(straggler, "__func__", None) is FaultPolicy.straggler_factor:
+        straggler = None
+    preemptive = policy.preemptive
 
     #: request_id -> _Flight for every unresolved request.
     pending: dict[int, _Flight] = {}
-    #: entry.seq -> (flight, attempt, is_hedge) for every live copy.
-    copy_info: dict[int, tuple[_Flight, int, bool]] = {}
 
     n_crashes = 0
     downtime_total = 0.0
@@ -1036,6 +831,8 @@ def _run_faulty(
     n_stragglers = 0
 
     events: list[tuple[float, int, int, float]] = []
+    heappush = heapq.heappush
+    heappop = heapq.heappop
     qseq = 0  # unique per scheduler push (copies included)
     dseq = 0  # unique per dispatch decision (retries/hedges included)
 
@@ -1044,7 +841,7 @@ def _run_faulty(
         if nxt is None:
             return
         crash_s, down_s = nxt
-        heapq.heappush(events, (max(crash_s, after_s), _CRASH, replica, down_s))
+        heappush(events, (max(crash_s, after_s), _CRASH, replica, down_s))
 
     def add_replica(now: float) -> None:
         if replica_factory is None:
@@ -1079,6 +876,8 @@ def _run_faulty(
         while len(engine_list) < decision.target:
             add_replica(now)
         active = decision.target
+        # Cooldown is charged only here, once the resize actually took
+        # effect — decide() itself is side-effect free.
         autoscaler.note_applied(now)
         scale_events.append(
             ScaleEvent(
@@ -1092,9 +891,9 @@ def _run_faulty(
         if rich:
             dispatch.resize(active, work_until)
 
-    def record(
+    def respond(
         flight: _Flight,
-        result,
+        result: ServingResult,
         start: float,
         finish: float,
         size: int,
@@ -1102,54 +901,64 @@ def _run_faulty(
         outcome: str,
     ) -> None:
         req = flight.request
-        if collect:
-            responses[flight.index] = ServeResponse(
-                request=req,
-                result=result,
-                queue_delay_s=start - req.arrival_s,
-                start_s=start,
-                finish_s=finish,
-                batch_size=size,
-                batch_index=index,
-                outcome=outcome,
-                attempts=flight.attempts,
-            )
-        else:
-            observe(req, result, start, finish, size, outcome=outcome)
+        responses[flight.index] = ServeResponse(
+            request=req,
+            result=result,
+            queue_delay_s=start - req.arrival_s,
+            start_s=start,
+            finish_s=finish,
+            batch_size=size,
+            batch_index=index,
+            outcome=outcome,
+            attempts=flight.attempts,
+        )
 
-    def push_copy(
-        flight: _Flight, now: float, is_hedge: bool
-    ) -> tuple[int, QueuedRequest]:
-        """Dispatch one copy of a flight to a replica's ready queue."""
-        nonlocal qseq, dseq
-        req = flight.request
+    def place(
+        req: ServeRequest, factor: float, now: float
+    ) -> "tuple[int, ServingResult, float]":
+        """Dispatch one copy of ``req``: pick its replica and book its
+        (straggler-inflated) service time on that replica's projection."""
+        nonlocal dseq
         if rich:
-            replica = dispatch.choose(dseq, req)
+            replica = choose(dseq, req)
         else:
-            view = work_until if active == len(work_until) else work_until[:active]
-            replica = dispatch(dseq, req, view)
+            replica = dispatch(
+                dseq,
+                req,
+                work_until if active == len(work_until) else work_until[:active],
+            )
         dseq += 1
         if not 0 <= replica < active:
             raise ServingError(f"dispatcher chose invalid replica {replica}")
         result = engine_list[replica].result_for(req.task)
-        if flight.result is None:
-            flight.result = result
-        entry = QueuedRequest(
-            seq=qseq,
-            request=req,
-            result=result,
-            service_s=result.latency_s * flight.factor,
-            deadline_s=flight.deadline_s,
-        )
-        copy_info[qseq] = (flight, flight.attempts, is_hedge)
-        qseq += 1
-        work_until[replica] = max(now, work_until[replica]) + entry.service_s
+        service_s = result.latency_s * factor
+        free_at = work_until[replica]
+        free_at = (now if now > free_at else free_at) + service_s
+        work_until[replica] = free_at
         if rich:
-            dispatch.assign(replica, work_until[replica])
-        scheduler_list[replica].push(entry)
-        return replica, entry
+            assign(replica, free_at)
+        return replica, result, service_s
 
-    def abort_execution(replica: int, now: float) -> None:
+    def push_copy(flight: _Flight, now: float, hedge: bool) -> int:
+        """Dispatch a retry or hedge copy of a flight; returns its replica."""
+        nonlocal qseq
+        replica, result, service_s = place(flight.request, flight.factor, now)
+        scheduler_list[replica].push(
+            _Copy(
+                qseq,
+                flight.request,
+                result,
+                service_s,
+                flight.deadline_s,
+                flight,
+                flight.attempts,
+                hedge,
+            )
+        )
+        qseq += 1
+        return replica
+
+    def abort_execution(replica: int) -> None:
         """Abort the in-flight batch; live members requeue on the same
         replica (stale copies are dropped for good)."""
         nonlocal qseq
@@ -1157,38 +966,43 @@ def _run_faulty(
         inflight[replica] = None
         generation[replica] += 1  # the scheduled FREE goes stale
         busy[replica] = False
-        entries = batch[0]
         queue = scheduler_list[replica]
-        for entry in entries:
-            flight, attempt, is_hedge = copy_info.pop(entry.seq)
-            if flight.done or flight.attempts != attempt:
+        for entry in batch[0]:
+            if not _live(entry):
                 continue
-            requeued = QueuedRequest(
-                seq=qseq,
-                request=entry.request,
-                result=entry.result,
-                service_s=entry.service_s,
-                deadline_s=entry.deadline_s,
+            queue.push(
+                _Copy(
+                    qseq,
+                    entry.request,
+                    entry.result,
+                    entry.service_s,
+                    entry.deadline_s,
+                    entry.flight,
+                    entry.attempt,
+                    entry.hedge,
+                )
             )
-            copy_info[qseq] = (flight, attempt, is_hedge)
             qseq += 1
-            queue.push(requeued)
 
     def launch(replica: int, now: float) -> None:
+        """Start the next batch on ``replica`` — or hold it open for one.
+
+        Callers guarantee a non-empty ready queue; a busy or dead replica
+        is left alone.
+        """
         if busy[replica] or dead[replica]:
             return
         queue = scheduler_list[replica]
         batcher = batcher_list[replica]
-        live: list[QueuedRequest] = []
-        while not live:
-            if not len(queue):
-                hold_at[replica] = None
-                return
+        while True:
             ready_at = batcher.hold_until(queue, now)
             if ready_at > now:
                 if hold_at[replica] != ready_at:
+                    # A LAUNCH for this exact deadline is not yet
+                    # scheduled (re-entered holds with an unchanged
+                    # deadline reuse the event already in the heap).
                     hold_at[replica] = ready_at
-                    heapq.heappush(events, (ready_at, _LAUNCH, replica, 0.0))
+                    heappush(events, (ready_at, _LAUNCH, replica, 0.0))
                 return
             hold_at[replica] = None
             entries = batcher.take(queue, now)
@@ -1196,26 +1010,34 @@ def _run_faulty(
                 raise ServingError(
                     f"batcher {batcher.name!r} returned an empty batch"
                 )
-            for entry in entries:
-                flight, attempt, _ = copy_info[entry.seq]
-                if flight.done or flight.attempts != attempt:
-                    del copy_info[entry.seq]  # cancelled while queued
-                    continue
-                live.append(entry)
-        head = live[0]
-        start = max(head.request.arrival_s, now)
-        if len(live) == 1:
+            if not cancellable:
+                break
+            # Copies cancelled while queued drop out here.
+            entries = [e for e in entries if _live(e)]
+            if entries:
+                break
+            if not len(queue):
+                return
+        head = entries[0]
+        arrival = head.request.arrival_s
+        start = arrival if arrival > now else now
+        size = len(entries)
+        if size == 1:
+            # The exact batch-1 arithmetic (straggler-inflated).
             result = head.result
-            finish = start + head.service_s  # straggler-inflated
+            finish = start + head.service_s
         else:
-            exec_task = _batch_exec_task(live, batcher)
-            result = engine_list[replica].serve_batched(exec_task, len(live))
-            # The batch straggles with its slowest member.
-            max_factor = max(copy_info[e.seq][0].factor for e in live)
-            finish = start + result.latency_s * max_factor
+            exec_task = _batch_exec_task(entries, batcher)
+            result = engine_list[replica].serve_batched(exec_task, size)
+            if straggler is None:
+                finish = start + result.latency_s
+            else:
+                # The batch straggles with its slowest member.
+                slowest = max(e.flight.factor for e in entries)
+                finish = start + result.latency_s * slowest
         busy[replica] = True
-        inflight[replica] = (live, start, finish, result, len(live))
-        heapq.heappush(events, (finish, _FREE, replica, float(generation[replica])))
+        inflight[replica] = (entries, start, finish, result, size)
+        heappush(events, (finish, _FREE, replica, generation[replica]))
 
     for replica in range(n_start):
         schedule_crash(replica, 0.0)
@@ -1224,6 +1046,8 @@ def _run_faulty(
     next_req = next(arrival_iter, None)
     seq = 0
     while next_req is not None or pending:
+        # Does the next arrival precede every heap event?  FREE and
+        # RECOVER sort before ARRIVAL at equal stamps, the rest after.
         if next_req is not None:
             if events:
                 top = events[0]
@@ -1241,51 +1065,46 @@ def _run_faulty(
             now = req.arrival_s
             if autoscaler is not None:
                 autoscale(now)
-            factor = policy.straggler_factor(req)
-            if factor < 1.0:
-                raise ServingError(
-                    f"fault policy {policy.name!r} returned straggler factor "
-                    f"{factor} < 1"
-                )
-            if factor > 1.0:
-                n_stragglers += 1
+            if straggler is None:
+                factor = 1.0
+            else:
+                factor = straggler(req)
+                if factor < 1.0:
+                    raise ServingError(
+                        f"fault policy {policy.name!r} returned straggler "
+                        f"factor {factor} < 1"
+                    )
+                if factor > 1.0:
+                    n_stragglers += 1
+            replica, result, service_s = place(req, factor, now)
             flight = _Flight(
-                index=seq,
-                request=req,
-                factor=factor,
-                deadline_s=req.deadline_s(slo_ms),
+                qseq, req, result, service_s, req.deadline_s(slo_ms), seq, factor
             )
+            qseq += 1
             pending[req.request_id] = flight
-            replica, entry = push_copy(flight, now, is_hedge=False)
+            scheduler_list[replica].push(flight)
             if collect:
                 responses.append(None)
                 assignments.append(replica)
             else:
                 assign_note(replica)
             if timeout_s is not None:
-                heapq.heappush(
-                    events, (now + timeout_s, _TIMEOUT, req.request_id, 1.0)
-                )
+                heappush(events, (now + timeout_s, _TIMEOUT, req.request_id, 1.0))
             if hedge_s is not None:
-                heapq.heappush(
-                    events, (now + hedge_s, _HEDGE, req.request_id, 0.0)
-                )
+                heappush(events, (now + hedge_s, _HEDGE, req.request_id, 0.0))
             if (
-                policy.preemptive
+                preemptive
                 and busy[replica]
                 and not dead[replica]
                 and inflight[replica] is not None
             ):
                 rank = scheduler_list[replica].preemption_rank
                 running = [
-                    rank(e)
-                    for e in inflight[replica][0]
-                    if e.seq in copy_info
-                    and not copy_info[e.seq][0].done
+                    rank(e) for e in inflight[replica][0] if not e.flight.done
                 ]
                 running_rank = max(running) if running else -_INF
-                if policy.preempts(rank(entry), running_rank):
-                    abort_execution(replica, now)
+                if policy.preempts(rank(flight), running_rank):
+                    abort_execution(replica)
                     n_preemptions += 1
             if not busy[replica]:
                 launch(replica, now)
@@ -1293,33 +1112,36 @@ def _run_faulty(
             next_req = next(arrival_iter, None)
             continue
 
-        now, kind, index, payload = heapq.heappop(events)
+        now, kind, index, payload = heappop(events)
 
         if kind == _FREE:
             replica = index
             if payload != generation[replica]:
                 continue  # execution was aborted (crash/preemption)
             busy[replica] = False
-            batch = inflight[replica]
+            entries, start, finish, result, size = inflight[replica]
             inflight[replica] = None
-            entries, start, finish, result, size = batch
             for position, entry in enumerate(entries):
-                flight, attempt, is_hedge = copy_info.pop(entry.seq)
-                if flight.done or flight.attempts != attempt:
+                if cancellable and not _live(entry):
                     continue  # a sibling copy already won, or superseded
+                flight = entry.flight
                 flight.done = True
                 del pending[entry.request.request_id]
-                if is_hedge:
+                if entry.hedge:
                     n_hedge_wins += 1
                     outcome = "hedged"
                 elif flight.attempts > 1:
                     outcome = "retried"
                 else:
                     outcome = "ok"
-                record(flight, result, start, finish, size, position, outcome)
+                if collect:
+                    respond(flight, result, start, finish, size, position, outcome)
+                else:
+                    observe(entry.request, result, start, finish, size, outcome)
             if autoscaler is not None:
                 autoscale(now)
-            launch(replica, now)
+            if len(scheduler_list[replica]):
+                launch(replica, now)
 
         elif kind == _RECOVER:
             replica = index
@@ -1335,7 +1157,8 @@ def _run_faulty(
             work_until[replica] = max(work_until[replica], now)
             if rich:
                 dispatch.assign(replica, work_until[replica])
-            launch(replica, now)
+            if len(scheduler_list[replica]):
+                launch(replica, now)
 
         elif kind == _LAUNCH:
             replica = index
@@ -1343,7 +1166,10 @@ def _run_faulty(
             # idle replica (crashes clear holds; launches reschedule).
             if busy[replica] or dead[replica] or hold_at[replica] != now:
                 continue
-            launch(replica, now)
+            if len(scheduler_list[replica]):
+                launch(replica, now)
+            else:
+                hold_at[replica] = None
 
         elif kind == _CRASH:
             replica = index
@@ -1352,12 +1178,12 @@ def _run_faulty(
             hold_at[replica] = None
             dead[replica] = True
             if busy[replica]:
-                abort_execution(replica, now)
+                abort_execution(replica)
             recover_at = now + payload
             work_until[replica] = max(work_until[replica], recover_at)
             if rich:
                 dispatch.assign(replica, work_until[replica])
-            heapq.heappush(events, (recover_at, _RECOVER, replica, payload))
+            heappush(events, (recover_at, _RECOVER, replica, payload))
 
         elif kind == _TIMEOUT:
             flight = pending.get(index)
@@ -1368,8 +1194,8 @@ def _run_faulty(
                 # attempt tag; the timeout budget restarts now.
                 flight.attempts += 1
                 n_retries += 1
-                replica, _entry = push_copy(flight, now, is_hedge=False)
-                heapq.heappush(
+                replica = push_copy(flight, now, False)
+                heappush(
                     events,
                     (now + timeout_s, _TIMEOUT, index, float(flight.attempts)),
                 )
@@ -1378,7 +1204,10 @@ def _run_faulty(
                 n_timeouts += 1
                 flight.done = True
                 del pending[index]
-                record(flight, flight.result, now, now, 1, 0, "timeout")
+                if collect:
+                    respond(flight, flight.result, now, now, 1, 0, "timeout")
+                else:
+                    observe(flight.request, flight.result, now, now, 1, "timeout")
 
         else:  # _HEDGE
             flight = pending.get(index)
@@ -1386,7 +1215,7 @@ def _run_faulty(
                 continue
             flight.hedged = True
             n_hedges += 1
-            replica, _entry = push_copy(flight, now, is_hedge=True)
+            replica = push_copy(flight, now, True)
             launch(replica, now)
 
     if seq == 0:

@@ -23,8 +23,8 @@ Determinism is the core contract: every decision is a pure function of
 ``(seed, replica)`` or ``(seed, request_id)``, never of event-processing
 order, so a given seed reproduces the same crash/straggler timeline
 across runs *and* across ``serve_parallel`` pool sizes.  With
-``faults="none"`` (and no timeout/hedge) the fault-aware loop is never
-entered and every existing stream stays bit-identical.
+``faults="none"`` (and no timeout/hedge) the event loop schedules no
+fault events, so every existing stream stays bit-identical.
 
 Built-in policies:
 

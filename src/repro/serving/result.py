@@ -71,7 +71,7 @@ class ServingResult:
 class FaultStats:
     """Stream-level fault-injection counters.
 
-    Produced by the fault-aware event loop (see
+    Produced by the general event loop (see
     :mod:`repro.serving.faults`) and attached to every
     ``StreamReport``/``StreamSummary``.  A faultless run carries the
     all-zero record, which is also the identity for :meth:`merge` — the

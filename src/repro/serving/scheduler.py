@@ -127,7 +127,7 @@ class Scheduler(ABC):
     def preemption_rank(self, entry: QueuedRequest) -> float:
         """Urgency rank a preemptive fault policy compares (larger = more urgent).
 
-        The fault-aware event loop (:mod:`repro.serving.faults`) asks the
+        The general event loop (:mod:`repro.serving.events`) asks the
         replica's discipline how urgent a request is when deciding whether
         a new arrival may abort the in-flight batch.  The default ranks by
         the request's strict priority class; disciplines with their own

@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import ServingError
 from repro.serving import (
+    Autoscaler,
     ChaosFaults,
     CrashFaults,
     FaultPolicy,
@@ -22,6 +23,7 @@ from repro.serving import (
     ServingEngine,
     StragglerFaults,
     StreamSummary,
+    ZipfLength,
     available_fault_policies,
     get_fault_policy,
     make_fault_policy,
@@ -202,6 +204,52 @@ class TestLoopValidation:
             ServingEngine("gpu").serve_stream(_stream(n=5), faults=Shrinker())
 
 
+#: Fault-free multi-replica configurations for the loop-agreement test:
+#: (fresh fleet + serve_stream kwargs, rate, Zipf lengths, seed).
+_LOOP_CASES = {
+    "rr-fifo-none": (
+        lambda: (
+            Fleet("plasticine:3", policy="round-robin"),
+            {"scheduler": "fifo", "batcher": "none"},
+        ),
+        60_000.0, None, 0,
+    ),
+    "ll-edf-size-cap": (
+        lambda: (
+            Fleet("plasticine:3", policy="least-loaded"),
+            {"scheduler": "edf", "batcher": "size-cap"},
+        ),
+        60_000.0, None, 0,
+    ),
+    "ll-fifo-adaptive": (
+        lambda: (
+            Fleet("plasticine:3", policy="least-loaded"),
+            {"scheduler": "fifo", "batcher": "adaptive"},
+        ),
+        60_000.0, None, 1,
+    ),
+    "mixed-edf-bucket": (
+        lambda: (
+            Fleet("plasticine:2,brainwave:1,gpu:1", policy="least-loaded"),
+            {"scheduler": "edf", "batcher": "bucket"},
+        ),
+        20_000.0, ZipfLength(10, 400), 0,
+    ),
+    "autoscaled-size-cap": (
+        lambda: (
+            Fleet("plasticine:1"),
+            {
+                "batcher": "size-cap",
+                "autoscaler": Autoscaler(
+                    min_replicas=1, max_replicas=4, cooldown_s=0.0
+                ),
+            },
+        ),
+        60_000.0, None, 0,
+    ),
+}
+
+
 class TestNoFaultParity:
     def test_none_policy_bit_identical(self):
         arrivals = _stream()
@@ -214,7 +262,7 @@ class TestNoFaultParity:
         assert not none.fault_stats.any
 
     def test_huge_timeout_matches_faultless_timeline(self):
-        # A timeout that never fires forces the fault-aware loop but
+        # A timeout that never fires forces the general loop but
         # must reproduce the perfect-machine timeline exactly.
         arrivals = _stream()
         base = ServingEngine("gpu").serve_stream(arrivals, slo_ms=5.0)
@@ -242,6 +290,44 @@ class TestNoFaultParity:
         assert (base.n_requests, base.p50_ms, base.p99_ms) == (
             none.n_requests, none.p50_ms, none.p99_ms,
         )
+
+    def _serve_case(self, case, mode, **extra):
+        make, rate, lengths, seed = _LOOP_CASES[case]
+        fleet, kwargs = make()
+        arrivals = poisson_arrivals(
+            BIG, rate_per_s=rate, n_requests=2000, seed=seed, lengths=lengths
+        )
+        return fleet.serve_stream(
+            arrivals, slo_ms=1.0, mode=mode, presorted=True, **kwargs, **extra
+        )
+
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_loop_agreement_full_mode(self, case):
+        # Every fault-free multi-replica stream runs the one general
+        # loop, so a never-firing timeout (which only adds TIMEOUT
+        # events) must not move a request, assignment or scale event.
+        base = self._serve_case(case, "full")
+        guarded = self._serve_case(case, "full", timeout_ms=1e6)
+
+        def timeline(report):
+            return [
+                (r.request.request_id, r.start_s, r.finish_s,
+                 r.batch_size, r.batch_index)
+                for r in report.responses
+            ]
+
+        assert timeline(base) == timeline(guarded)
+        assert base.assignments == guarded.assignments
+        assert base.scale_events == guarded.scale_events
+        if case.startswith("autoscaled"):
+            assert base.scale_events  # the autoscaler really acted
+
+    @pytest.mark.parametrize("case", sorted(_LOOP_CASES))
+    def test_loop_agreement_summary_mode(self, case):
+        base = self._serve_case(case, "summary")
+        guarded = self._serve_case(case, "summary", timeout_ms=1e6)
+        for metric in ("mean_ms", "mean_queue_delay_ms", "energy_j", "p99_ms"):
+            assert getattr(base, metric) == getattr(guarded, metric), metric
 
 
 class TestCrashInjection:

@@ -575,7 +575,7 @@ class TestLeastLoadedDispatcherParity:
 
 
 class _HeapForcedNone(NoneBatcher):
-    """Overriding hold_until (same value) forces the general heap loop."""
+    """Overriding hold_until (same value) forces the general event loop."""
 
     def hold_until(self, queue, now):
         return now
@@ -583,7 +583,7 @@ class _HeapForcedNone(NoneBatcher):
 
 class TestFastPathParity:
     """The specialized single-replica loops must be bit-identical to the
-    general heap loop on the same stream."""
+    general event loop on the same stream."""
 
     @pytest.mark.parametrize("scheduler", ["fifo", "edf", "sjf"])
     @pytest.mark.parametrize("rate", [900.0, 6000.0])
@@ -609,7 +609,7 @@ class TestFastPathParity:
             arrivals, slo_ms=50.0, batcher="bucket", max_batch=8
         )
         # Same policy, but with hold_until overridden (returning `now`
-        # unchanged), which forces the general heap loop.
+        # unchanged), which forces the general event loop.
         heap = ServingEngine("brainwave").serve_stream(
             arrivals, slo_ms=50.0, batcher=_forced_bucket
         )

@@ -45,7 +45,7 @@ _SERVING_NAMES = (
     "ServingEngine",
     "ServeRequest",
     "ServeResponse",
-    "StreamReport",
+    "StreamSummary",
     "Fleet",
     "Platform",
     "PreparedModel",

@@ -33,11 +33,11 @@ way real accelerator deployments are:
   generators and traces never materialize), no-heap fast paths for the
   hot single-replica configurations, and a ``presorted`` lazy
   validator.
-* :mod:`repro.serving.stats` — :class:`StreamSummary`, the
-  O(1)-memory online mirror of :class:`StreamReport` behind
-  ``serve_stream(..., mode="summary")``: exact streaming counters,
-  histogram quantiles, and per-tenant/per-priority/per-length-band
-  rollups for million-request streams.
+* :mod:`repro.serving.stats` — :class:`StreamSummary`, the one report
+  type every ``serve_stream`` returns: exact streaming counters,
+  quantiles (histogram-estimated in O(1)-memory ``mode="summary"``,
+  exact in ``mode="full"``, which also keeps the responses), and
+  per-tenant/per-priority/per-length-band rollups.
 * :mod:`repro.serving.engine` — :class:`ServingEngine`, one
   accelerator's compile-once session with ``serve`` / ``serve_batch`` /
   ``serve_stream`` (queueing + SLO/tenant/priority accounting) and a
@@ -93,7 +93,6 @@ from repro.serving.engine import (
     ServeRequest,
     ServeResponse,
     ServingEngine,
-    StreamReport,
     poisson_arrivals,
     uniform_arrivals,
 )
@@ -119,7 +118,6 @@ from repro.serving.fleet import (
     AFFINITY_KEYS,
     SCHEDULING_POLICIES,
     Fleet,
-    FleetReport,
     parse_fleet_mix,
 )
 from repro.serving.platform import (
@@ -195,7 +193,6 @@ __all__ = [
     "ServingEngine",
     "ServeRequest",
     "ServeResponse",
-    "StreamReport",
     "StreamSummary",
     "CacheStats",
     "run_stream",
@@ -253,7 +250,6 @@ __all__ = [
     "make_fault_policy",
     "StreamOutcome",
     "Fleet",
-    "FleetReport",
     "SCHEDULING_POLICIES",
     "AFFINITY_KEYS",
     "parse_fleet_mix",

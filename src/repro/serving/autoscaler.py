@@ -19,7 +19,7 @@ runs:
 Scaling is deterministic — it is part of the simulation, driven only by
 simulated time and queue state, so a given stream always produces the
 same :class:`ScaleEvent` log (recorded on the resulting
-:class:`~repro.serving.engine.StreamReport`).  Replicas added during a
+:class:`~repro.serving.stats.StreamSummary`).  Replicas added during a
 run share the fleet's prepared-model cache, so scaling up never
 recompiles a task the fleet has already seen.
 

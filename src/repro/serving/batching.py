@@ -25,7 +25,7 @@ Six policies are built in:
   (via the platform cost model) still meets that deadline.
 * ``"pad"`` — length-aware: coalesce mixed-length requests of one task
   *family*, padding everyone to the batch's longest sequence; the
-  padding cost is accounted as ``StreamReport.padding_waste_frac``.
+  padding cost is accounted as ``StreamSummary.padding_waste_frac``.
 * ``"bucket"`` — length-aware with bounded padding: coalesce only
   within a geometric length band, so a stray long request cannot
   multiply a whole batch's cost.
@@ -348,8 +348,8 @@ class PadBatcher(Batcher):
     This is what batched RNN serving on throughput-oriented hardware
     actually does — and what it costs: the execution is billed at the
     *padded* length, so every shorter request's excess shows up in
-    :attr:`StreamReport.padding_waste_frac
-    <repro.serving.engine.StreamReport.padding_waste_frac>`.  Like
+    :attr:`StreamSummary.padding_waste_frac
+    <repro.serving.stats.StreamSummary.padding_waste_frac>`.  Like
     ``size-cap``, it never holds an idle replica.
 
     Example::

@@ -29,31 +29,24 @@ Example::
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.errors import ServingError
-from repro.platforms import ELECTRICITY_USD_PER_KWH, device_usd_per_hour, tdp_of
-from repro.serving.autoscaler import ScaleEvent
 from repro.serving.batching import Batcher, make_batcher
 from repro.serving.events import run_stream, single_replica_dispatch
 from repro.serving.faults import FaultPolicy, make_fault_policy
 from repro.serving.platform import Platform, PreparedModel, get_platform
 from repro.serving.request import ServeRequest, ServeResponse
-from repro.serving.result import FaultStats, ServingResult
+from repro.serving.result import ServingResult
 from repro.serving.scheduler import Scheduler, make_scheduler
-# ``percentile`` is shared with the O(1) summary so both
-# representations interpolate identically.
-from repro.serving.stats import StreamSummary, percentile as _percentile
-from repro.serving.traffic import length_band, poisson_arrivals, uniform_arrivals
+from repro.serving.stats import StreamSummary
+from repro.serving.traffic import poisson_arrivals, uniform_arrivals
 from repro.workloads.deepbench import RNNTask
 
 __all__ = [
     "ServeRequest",
     "ServeResponse",
-    "StreamReport",
     "StreamSummary",
     "CacheStats",
     "ServingEngine",
@@ -89,365 +82,6 @@ class CacheStats:
     @property
     def total(self) -> int:
         return self.hits + self.misses
-
-
-
-
-@dataclass(frozen=True)
-class StreamReport:
-    """Aggregate outcome of a request stream against an SLO.
-
-    Responses are ordered by arrival, whatever order the scheduler
-    actually served them in; ``per_tenant()`` and ``per_priority()``
-    slice the same stream into per-class sub-reports.  ``batcher``
-    records the batching policy that ran the stream (``"none"`` = the
-    paper's batch-1 serving) and ``scale_events`` any autoscaler actions
-    applied during it.
-
-    Example::
-
-        >>> from repro.serving import ServingEngine, uniform_arrivals
-        >>> from repro.workloads.deepbench import task
-        >>> report = ServingEngine("gpu").serve_stream(
-        ...     uniform_arrivals(task("lstm", 512, 25),
-        ...                      rate_per_s=100, n_requests=50),
-        ...     slo_ms=5.0)
-        >>> (report.n_requests, report.scheduler, report.batcher)
-        (50, 'fifo', 'none')
-        >>> report.p50_ms <= report.p99_ms
-        True
-    """
-
-    platform: str
-    responses: tuple[ServeResponse, ...] = field(repr=False)
-    slo_ms: float | None = None
-    scheduler: str = "fifo"
-    batcher: str = "none"
-    scale_events: tuple[ScaleEvent, ...] = field(default=(), repr=False)
-    #: Fault policy the stream ran under (``"none"`` = perfect machine).
-    faults: str = "none"
-    #: Injected-fault counters (all zero outside fault-injected runs).
-    fault_stats: FaultStats = field(default=FaultStats(), repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.responses:
-            raise ServingError("stream produced no responses")
-
-    @property
-    def n_requests(self) -> int:
-        return len(self.responses)
-
-    @cached_property
-    def _sojourns_ms(self) -> tuple[float, ...]:
-        # cached_property writes through __dict__, which frozen
-        # dataclasses permit; the responses tuple never changes.
-        return tuple(sorted(r.sojourn_ms for r in self.responses))
-
-    @property
-    def p50_ms(self) -> float:
-        return _percentile(self._sojourns_ms, 50)
-
-    @property
-    def p99_ms(self) -> float:
-        return _percentile(self._sojourns_ms, 99)
-
-    @property
-    def mean_ms(self) -> float:
-        return sum(self._sojourns_ms) / len(self._sojourns_ms)
-
-    @property
-    def mean_queue_delay_ms(self) -> float:
-        return sum(r.queue_delay_s for r in self.responses) * 1e3 / self.n_requests
-
-    @property
-    def mean_service_ms(self) -> float:
-        """Average per-request accelerator time (batched requests count
-        their share of the batch latency)."""
-        return sum(r.service_s for r in self.responses) * 1e3 / self.n_requests
-
-    def uniform_slo_ms(self) -> float | None:
-        """The single request-level SLO every request carried, if any.
-
-        ``None`` when requests carry mixed (or no) per-request SLO tags —
-        callers then fall back to the stream-level SLO.
-        """
-        tags = {r.request.slo_ms for r in self.responses}
-        if len(tags) == 1:
-            return tags.pop()
-        return None
-
-    # -- batching ---------------------------------------------------------
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average coalesced batch size across requests (1.0 = unbatched)."""
-        return sum(r.batch_size for r in self.responses) / self.n_requests
-
-    @property
-    def max_batch_size(self) -> int:
-        """Largest batch any request was served in."""
-        return max(r.batch_size for r in self.responses)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per second of stream makespan."""
-        makespan = max(r.finish_s for r in self.responses)
-        if makespan <= 0:
-            return math.inf
-        return self.n_requests / makespan
-
-    # -- variable-length / padding accounting ----------------------------
-
-    @property
-    def padding_waste_frac(self) -> float:
-        """Fraction of executed FLOPs wasted on sequence padding.
-
-        A batched execution of mixed-length requests runs every request
-        at the longest member's length (the ``pad`` / ``bucket``
-        policies); the excess over each request's own work is waste.
-        Unbatched (batch-1) serving — the paper's spatial-accelerator
-        scenario — never pads, so this is 0.0 for ``batcher="none"``.
-
-        Example::
-
-            >>> from repro.serving import ServingEngine, uniform_arrivals
-            >>> from repro.workloads.deepbench import task
-            >>> report = ServingEngine("gpu").serve_stream(
-            ...     uniform_arrivals(task("lstm", 512, 25),
-            ...                      rate_per_s=100, n_requests=10))
-            >>> report.padding_waste_frac
-            0.0
-        """
-        executed = sum(r.result.task.flops for r in self.responses)
-        useful = sum(r.request.task.flops for r in self.responses)
-        if executed <= 0:
-            return 0.0
-        return (executed - useful) / executed
-
-    def per_length_band(self, band_base: float = 2.0) -> "dict[str, StreamReport]":
-        """Sub-reports keyed by geometric sequence-length band.
-
-        Requests are grouped by their *own* ``timesteps`` into bands
-        ``[base^k, base^(k+1))``, labelled ``"T16-31"`` etc., so tail
-        latency can be read per length class — long requests hiding
-        behind a healthy global P99 show up here.
-
-        Example::
-
-            >>> from repro.serving import (ServingEngine, ZipfLength,
-            ...                            poisson_arrivals)
-            >>> from repro.workloads.deepbench import task
-            >>> report = ServingEngine("gpu").serve_stream(poisson_arrivals(
-            ...     task("lstm", 512, 25), rate_per_s=500, n_requests=40,
-            ...     seed=1, lengths=ZipfLength(8, 120)))
-            >>> bands = report.per_length_band()
-            >>> sum(b.n_requests for b in bands.values()) == report.n_requests
-            True
-        """
-        groups: dict[tuple[int, int], list[ServeResponse]] = {}
-        for r in self.responses:
-            band = length_band(r.request.task.timesteps, band_base)
-            groups.setdefault(band, []).append(r)
-        return {
-            f"T{lo}-{hi}": self._subset(groups[(lo, hi)])
-            for lo, hi in sorted(groups)
-        }
-
-    @property
-    def offered_rate_per_s(self) -> float:
-        """Arrival rate implied by the stream's time span.
-
-        A single request has no rate (0.0); several requests arriving
-        at the same instant are an infinite-rate burst.
-        """
-        span = max(r.request.arrival_s for r in self.responses)
-        if span > 0:
-            return self.n_requests / span
-        return 0.0 if self.n_requests == 1 else math.inf
-
-    @property
-    def max_rate_per_s(self) -> float:
-        """Sustainable rate: one over the mean service time."""
-        mean_service = sum(r.service_s for r in self.responses) / self.n_requests
-        return 1.0 / mean_service
-
-    @property
-    def saturated(self) -> bool:
-        """True when arrivals outpace what the server can drain."""
-        return self.offered_rate_per_s >= self.max_rate_per_s
-
-    # -- energy / TCO accounting ------------------------------------------
-
-    @property
-    def makespan_s(self) -> float:
-        """Wall-clock span of the stream: the last response's finish."""
-        return max(r.finish_s for r in self.responses)
-
-    @property
-    def replica_platforms(self) -> tuple[str, ...]:
-        """Platform key of every *provisioned* replica.
-
-        One engine here; :class:`~repro.serving.fleet.FleetReport`
-        overrides this with the fleet's actual (possibly mixed) roster,
-        and every provisioned-energy number below follows along.
-        """
-        return (self.platform,)
-
-    @property
-    def per_platform_counts(self) -> dict[str, int]:
-        """Responses served per *executing* platform.
-
-        Keyed by ``result.platform`` — the platform that actually ran
-        each request — so mixed fleets attribute work correctly and the
-        values always sum to ``n_requests``.
-        """
-        counts: dict[str, int] = {}
-        for r in self.responses:
-            key = r.result.platform
-            counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
-
-    @property
-    def energy_j(self) -> float:
-        """Busy energy: accelerator-seconds × that platform's power draw.
-
-        Each response is charged at the power of the platform that
-        *executed* it (Table 4/5 measured peak when reported, TDP
-        otherwise), summed over its share of accelerator time — idle
-        replicas contribute nothing here (see :attr:`fleet_watt_hours`
-        for the provisioned bill).
-        """
-        return sum(
-            r.service_s * tdp_of(r.result.platform) for r in self.responses
-        )
-
-    @property
-    def joules_per_request(self) -> float:
-        """Busy energy per inference — the paper-style J/request figure."""
-        return self.energy_j / self.n_requests
-
-    @property
-    def fleet_watt_hours(self) -> float:
-        """Provisioned energy: every replica powered for the makespan.
-
-        This is what the electricity meter sees — a provisioned
-        accelerator burns its TDP whether or not the dispatcher sends it
-        work — and it is the energy term the TCO model bills.
-        """
-        watts = sum(tdp_of(p) for p in self.replica_platforms)
-        return watts * self.makespan_s / 3600.0
-
-    @property
-    def cost_usd_per_1m_requests(self) -> float:
-        """Total cost of ownership normalized to one million requests.
-
-        Electricity for the provisioned fleet over the makespan
-        (:attr:`fleet_watt_hours` at :data:`ELECTRICITY_USD_PER_KWH`)
-        plus linear capital amortization of every provisioned device
-        (:func:`repro.platforms.device_usd_per_hour`), divided by the
-        requests actually served and scaled to 1M.  This is the
-        objective the capacity planner (:mod:`repro.dse.capacity`)
-        minimizes.
-        """
-        hours = self.makespan_s / 3600.0
-        energy_usd = self.fleet_watt_hours / 1e3 * ELECTRICITY_USD_PER_KWH
-        capital_usd = hours * sum(
-            device_usd_per_hour(p) for p in self.replica_platforms
-        )
-        return (energy_usd + capital_usd) / self.n_requests * 1e6
-
-    def _effective_slo_ms(self, response: ServeResponse) -> float:
-        slo = response.request.effective_slo_ms(self.slo_ms)
-        if slo is None:
-            raise ServingError("no SLO configured for this stream")
-        return slo
-
-    @property
-    def slo_miss_rate(self) -> float:
-        """Fraction of requests whose sojourn exceeded their SLO.
-
-        Each request is judged against its own ``slo_ms`` when set,
-        falling back to the stream-level SLO otherwise.
-        """
-        misses = sum(
-            1
-            for r in self.responses
-            if r.sojourn_ms > self._effective_slo_ms(r)
-        )
-        return misses / self.n_requests
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of requests that met their SLO (1 - miss rate)."""
-        return 1.0 - self.slo_miss_rate
-
-    @property
-    def slo_attained(self) -> bool:
-        return self.slo_ms is not None and self.p99_ms <= self.slo_ms
-
-    # -- multi-tenant / multi-class breakdowns ---------------------------
-
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        """Sorted tenant names present in the stream."""
-        return tuple(sorted({r.request.tenant for r in self.responses}))
-
-    @property
-    def priorities(self) -> tuple[int, ...]:
-        """Sorted priority classes present in the stream."""
-        return tuple(sorted({r.request.priority for r in self.responses}))
-
-    def _subset(self, responses: Iterable[ServeResponse]) -> "StreamReport":
-        # Deliberately a plain StreamReport (not type(self)): subclass
-        # extras such as fleet assignments do not slice meaningfully, and
-        # scale events are stream-wide rather than per-class.
-        return StreamReport(
-            platform=self.platform,
-            responses=tuple(responses),
-            slo_ms=self.slo_ms,
-            scheduler=self.scheduler,
-            batcher=self.batcher,
-            faults=self.faults,
-        )
-
-    def per_tenant(self) -> dict[str, "StreamReport"]:
-        """Sub-reports keyed by tenant, each over that tenant's requests."""
-        groups: dict[str, list[ServeResponse]] = {}
-        for r in self.responses:
-            groups.setdefault(r.request.tenant, []).append(r)
-        return {t: self._subset(groups[t]) for t in sorted(groups)}
-
-    def per_priority(self) -> dict[int, "StreamReport"]:
-        """Sub-reports keyed by priority class."""
-        groups: dict[int, list[ServeResponse]] = {}
-        for r in self.responses:
-            groups.setdefault(r.request.priority, []).append(r)
-        return {p: self._subset(groups[p]) for p in sorted(groups)}
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        """Sorted outcomes present (``("ok",)`` outside fault runs)."""
-        return tuple(sorted({r.outcome for r in self.responses}))
-
-    def per_outcome(self) -> dict[str, "StreamReport"]:
-        """Sub-reports keyed by outcome: how fault-injected requests
-        left the system (``"ok"``/``"retried"``/``"hedged"``/
-        ``"timeout"``); counts always sum to ``n_requests``.
-
-        Example::
-
-            >>> from repro.serving import ServingEngine, uniform_arrivals
-            >>> from repro.workloads.deepbench import task
-            >>> report = ServingEngine("gpu").serve_stream(
-            ...     uniform_arrivals(task("lstm", 512, 25),
-            ...                      rate_per_s=100, n_requests=10))
-            >>> sorted(report.per_outcome()) == ["ok"]
-            True
-        """
-        groups: dict[str, list[ServeResponse]] = {}
-        for r in self.responses:
-            groups.setdefault(r.outcome, []).append(r)
-        return {o: self._subset(groups[o]) for o in sorted(groups)}
 
 
 class ServingEngine:
@@ -688,7 +322,7 @@ class ServingEngine:
         timeout_ms: float | None = None,
         retries: int = 0,
         hedge_ms: float | None = None,
-    ) -> "StreamReport | StreamSummary":
+    ) -> StreamSummary:
         """Run a timestamped stream through a single-server queue.
 
         The ``scheduler`` picks the queue discipline (``"fifo"``
@@ -701,15 +335,14 @@ class ServingEngine:
         :mod:`repro.serving.batching`).  ``max_batch`` forwards to the
         named batching policy's cap.
 
-        ``mode`` picks the report representation.  The default
-        ``"full"`` materializes every response into a
-        :class:`StreamReport` — bit-identical to the historical
-        behaviour, with memory linear in the stream.  ``"summary"``
-        folds responses into a
-        :class:`~repro.serving.stats.StreamSummary` as they complete:
-        identical counts/sums (n, SLO attainment, batch sizes, padding
-        waste), estimated percentiles, and memory *independent of the
-        stream length* — the mode for million-request streams.
+        The result is a :class:`~repro.serving.stats.StreamSummary`
+        either way; ``mode`` picks what it holds.  The default
+        ``"full"`` also keeps every response (``responses``, in arrival
+        order) and reads exact percentiles from them, with memory
+        linear in the stream.  ``"summary"`` folds responses as they
+        complete: identical counts/sums (n, SLO attainment, batch sizes,
+        padding waste), estimated percentiles, and memory *independent
+        of the stream length* — the mode for million-request streams.
 
         Arrivals may be given in any order — they are sorted internally,
         so pre-sorting the input buys nothing *unless* you say so:
@@ -756,26 +389,13 @@ class ServingEngine:
                 "hedge_ms": hedge_ms,
             }
         )
-        if mode == "summary":
-            summary = StreamSummary(
-                self.platform_name,
-                slo_ms=slo_ms,
-                scheduler=sched.name,
-                batcher=batch_policy.name,
-                faults=policy.name,
-            )
-            outcome = run_stream(
-                arrivals,
-                engines=(self,),
-                schedulers=(sched,),
-                dispatch=single_replica_dispatch,
-                slo_ms=slo_ms,
-                batchers=(batch_policy,),
-                presorted=presorted,
-                summary=summary,
-                **fault_kwargs,
-            )
-            return summary.finalize(fault_stats=outcome.fault_stats)
+        summary = StreamSummary(
+            self.platform_name,
+            slo_ms=slo_ms,
+            scheduler=sched.name,
+            batcher=batch_policy.name,
+            faults=policy.name,
+        )
         outcome = run_stream(
             arrivals,
             engines=(self,),
@@ -784,14 +404,9 @@ class ServingEngine:
             slo_ms=slo_ms,
             batchers=(batch_policy,),
             presorted=presorted,
+            summary=summary if mode == "summary" else None,
             **fault_kwargs,
         )
-        return StreamReport(
-            platform=self.platform_name,
-            responses=tuple(outcome.responses),
-            slo_ms=slo_ms,
-            scheduler=sched.name,
-            batcher=batch_policy.name,
-            faults=policy.name,
-            fault_stats=outcome.fault_stats,
-        )
+        if mode == "full":
+            summary.keep_responses(outcome.responses, outcome.assignments)
+        return summary.finalize(fault_stats=outcome.fault_stats)

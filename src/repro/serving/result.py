@@ -73,11 +73,11 @@ class FaultStats:
 
     Produced by the general event loop (see
     :mod:`repro.serving.faults`) and attached to every
-    ``StreamReport``/``StreamSummary``.  A faultless run carries the
-    all-zero record, which is also the identity for :meth:`merge` — the
-    reason this lives next to :class:`ServingResult` rather than in the
-    stats module is that both reports and summaries (and the parallel
-    shard merge) need it without import cycles.
+    ``StreamSummary``.  A faultless run carries the all-zero record,
+    which is also the identity for :meth:`merge` — the reason this lives
+    next to :class:`ServingResult` rather than in the stats module is
+    that the event loop, the reports, and the parallel shard merge all
+    need it without import cycles.
 
     Example::
 

@@ -1,26 +1,27 @@
-"""O(1)-memory online statistics for million-request streams.
+"""The stream report: one type for both ``serve_stream`` modes.
 
-:class:`~repro.serving.engine.StreamReport` materializes every
-:class:`~repro.serving.request.ServeResponse` and sorts full sojourn
-lists, so its memory grows linearly with the stream — fine for the
-~10k-request runs the paper's tables need, infeasible for the
-datacenter-scale traces the ROADMAP targets.  This module is the O(1)
-alternative: :class:`StreamSummary` mirrors the ``StreamReport`` API
-(percentiles, SLO attainment, padding waste, per-tenant /
-per-priority / per-length-band slices) from a fixed-size set of online
-accumulators, so ``serve_stream(..., mode="summary")`` can consume a
-10M-request stream without ever holding it.
+:class:`StreamSummary` is what ``serve_stream`` returns.  It folds every
+completed request into a fixed-size set of online accumulators and
+reads percentiles, SLO attainment, padding waste, energy/TCO and the
+per-tenant / per-priority / per-outcome / per-length-band slices from
+them, so ``serve_stream(..., mode="summary")`` can consume a
+10M-request stream without ever holding it.  ``mode="full"`` builds the
+same type from the run's materialized responses: it also keeps them
+(``responses``, ``assignments``, ``replica_utilization()``) and reads
+every quantile and ``mean_ms`` from their sorted sojourns, so those are
+exact.
 
 Design:
 
 * **One accumulator per request class.**  Requests are grouped by
-  ``(task, tenant, priority, slo_ms)``; each class keeps exact integer
+  ``(task, tenant, priority, slo_ms, outcome)``; each class keeps exact integer
   counters (count, SLO misses, batch sizes, executed/useful FLOPs),
   exact running float sums (sojourn, queueing delay, service time), and
   exact min/max.  Every report-level figure that is a sum or a count —
   ``n_requests``, ``slo_attainment``, ``mean_batch_size``,
-  ``padding_waste_frac`` — therefore matches the materialized report
-  *exactly*; float means agree to reordering (summation order differs).
+  ``padding_waste_frac`` — therefore matches a recount over the
+  responses *exactly*; float means agree to reordering (summation
+  order differs).
   The root summary and every slice are rollups over class accumulators,
   so one update per request feeds all breakdowns at once.
 * **Fixed-bucket log histogram for quantiles** (the mergeable
@@ -49,11 +50,13 @@ Example::
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from collections import Counter
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import ServingError
 from repro.platforms import ELECTRICITY_USD_PER_KWH, device_usd_per_hour, tdp_of
-from repro.serving.request import ServeRequest
+from repro.serving.request import ServeRequest, ServeResponse
 from repro.serving.result import FaultStats, ServingResult
 from repro.serving.traffic import length_band
 
@@ -103,6 +106,12 @@ def percentile(sorted_values: "list[float] | tuple[float, ...]", q: float) -> fl
     hi = math.ceil(rank)
     frac = rank - lo
     return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
+
+
+def _class_key(request: ServeRequest, outcome: str) -> tuple:
+    """The class a completed request is accumulated under."""
+    return (request.task, request.tenant, request.priority, request.slo_ms,
+            outcome)
 
 
 class _ClassAcc:
@@ -282,33 +291,45 @@ class _ClassAcc:
 
 
 class StreamSummary:
-    """O(1)-memory mirror of :class:`~repro.serving.engine.StreamReport`.
+    """Aggregate outcome of a request stream against an SLO.
 
-    Produced by ``serve_stream(..., mode="summary")``: the event loop
-    feeds every completed request through :meth:`observe_served` and
-    drops it, so memory is bounded by the number of distinct request
-    *classes* (task x tenant x priority x SLO tag), not by the stream
-    length.  Counts and sums (``n_requests``, ``slo_attainment``,
-    ``mean_batch_size``, ``padding_waste_frac``, per-slice request
-    counts) match the materialized report exactly; ``p50_ms`` /
+    Every ``serve_stream`` returns one.  The event loop (or, in
+    ``mode="full"``, the run's arrival-ordered responses) feeds each
+    completed request through :meth:`observe_served`, so the figures
+    are rollups over per-*class* accumulators (task x tenant x priority
+    x SLO tag x outcome).  Counts and sums (``n_requests``,
+    ``slo_attainment``, ``mean_batch_size``, ``padding_waste_frac``,
+    per-slice request counts) are exact in both modes.  In summary mode
+    memory is independent of the stream length and ``p50_ms`` /
     ``p99_ms`` are histogram estimates within ~1% (exact while a slice
-    holds at most :data:`EXACT_SAMPLE_CAP` requests).
+    holds at most :data:`EXACT_SAMPLE_CAP` requests).  In full mode the
+    report also keeps ``responses`` (in arrival order, whatever order
+    the scheduler served them in) and the replica ``assignments``, and
+    every quantile and ``mean_ms`` is read from their exact sorted
+    sojourns.
 
-    ``per_tenant()`` / ``per_priority()`` / ``per_length_band()`` return
-    sub-summaries over the same accumulators — slicing allocates no
-    per-request state either.
+    ``per_tenant()`` / ``per_priority()`` / ``per_outcome()`` /
+    ``per_length_band()`` return sub-reports over the same
+    accumulators; a full-mode slice keeps its own responses.
+    ``batcher`` records the batching policy that ran the stream
+    (``"none"`` = the paper's batch-1 serving) and ``scale_events`` any
+    autoscaler actions applied during it.
 
     Example::
 
         >>> from repro.serving import ServingEngine, poisson_arrivals
         >>> from repro.workloads.deepbench import task
-        >>> summary = ServingEngine("gpu").serve_stream(
+        >>> report = ServingEngine("gpu").serve_stream(
         ...     poisson_arrivals(task("lstm", 512, 25), rate_per_s=500,
         ...                      n_requests=200, seed=1, tenant="tts"),
-        ...     slo_ms=5.0, mode="summary")
-        >>> summary.tenants
-        ('tts',)
-        >>> summary.per_tenant()["tts"].n_requests
+        ...     slo_ms=5.0)
+        >>> (report.n_requests, report.scheduler, report.batcher)
+        (200, 'fifo', 'none')
+        >>> report.p50_ms <= report.p99_ms
+        True
+        >>> len(report.responses), report.tenants
+        (200, ('tts',))
+        >>> report.per_tenant()["tts"].n_requests
         200
     """
 
@@ -338,11 +359,16 @@ class StreamSummary:
         self.active_replicas = 1
         #: Explicit per-replica platform roster for mixed fleets; empty
         #: means homogeneous (every replica is ``platform``).
-        self._platforms: "tuple[str, ...]" = ()
+        self.platforms: "tuple[str, ...]" = ()
         self._classes: dict[tuple, _ClassAcc] = (
             {} if _classes is None else _classes
         )
         self._replica_counts: list[int] = []
+        #: Full mode only: every response in arrival order (``None`` in
+        #: summary mode) and the replica each one was dispatched to
+        #: (empty in summary mode and on a slice).
+        self.responses: "tuple[ServeResponse, ...] | None" = None
+        self.assignments: "tuple[int, ...]" = ()
         #: Cache of executed-task FLOPs (task -> flops); the ``flops``
         #: property walks the task shape, far too slow per request.
         self._flops: dict["RNNTask", int] = {}
@@ -363,7 +389,7 @@ class StreamSummary:
 
     def _class_for(self, request: ServeRequest, outcome: str) -> _ClassAcc:
         task = request.task
-        key = (task, request.tenant, request.priority, request.slo_ms, outcome)
+        key = _class_key(request, outcome)
         acc = self._classes.get(key)
         if acc is None:
             slo = request.slo_ms
@@ -467,6 +493,37 @@ class StreamSummary:
             outcome=response.outcome,
         )
 
+    def keep_responses(
+        self,
+        responses: "Iterable[ServeResponse]",
+        assignments: "Iterable[int]",
+    ) -> None:
+        """Fold a full-mode run's responses in arrival order and keep them.
+
+        Every quantile (and ``mean_ms``) is then read from the kept
+        responses' exact sorted sojourns.  ``assignments`` gives the
+        replica of each response.
+
+        Example::
+
+            >>> from repro.serving import ServingEngine
+            >>> from repro.serving.stats import StreamSummary
+            >>> from repro.workloads.deepbench import task
+            >>> resp = ServingEngine("gpu").serve(task("lstm", 512, 25))
+            >>> report = StreamSummary("gpu", slo_ms=5.0)
+            >>> report.keep_responses([resp], [0])
+            >>> report.responses == (resp,), report.per_replica_counts
+            (True, (1,))
+        """
+        self.responses = tuple(responses)
+        self.assignments = tuple(assignments)
+        observe = self.observe_served
+        for r in self.responses:
+            observe(r.request, r.result, r.start_s, r.finish_s, r.batch_size,
+                    r.outcome)
+        for replica, count in Counter(self.assignments).items():
+            self.note_assignment(replica, count)
+
     def note_assignment(self, replica: int, count: int = 1) -> None:
         """Count ``count`` requests dispatched to ``replica``.
 
@@ -498,7 +555,7 @@ class StreamSummary:
         self.policy = policy
         if fault_stats is not None:
             self.fault_stats = fault_stats
-        self._platforms = tuple(platforms)
+        self.platforms = tuple(platforms)
         return self
 
     # -- merging ----------------------------------------------------------
@@ -544,7 +601,8 @@ class StreamSummary:
         concatenates: shard *i*'s replicas follow shard *i-1*'s in
         ``per_replica_counts``, and ``replicas``/``active_replicas``
         sum.  Empty summaries (no observed requests) are merge
-        identities.
+        identities.  The merged report is a summary-mode report: it
+        keeps no responses.
 
         Example::
 
@@ -594,13 +652,13 @@ class StreamSummary:
                 # Rosters concatenate in shard order, exactly like
                 # per_replica_counts; shards without an explicit roster
                 # contribute their homogeneous expansion.
-                if part._platforms:
+                if part.platforms:
                     explicit_roster = True
                 roster.extend(part.replica_platforms)
         merged.fault_stats = fault_stats
         merged._replica_counts = counts
         if explicit_roster:
-            merged._platforms = tuple(roster)
+            merged.platforms = tuple(roster)
         merged.replicas = max(replicas, 1)
         merged.active_replicas = max(active, 1)
         merged.scale_events = tuple(sorted(events, key=lambda e: e.time_s))
@@ -610,11 +668,15 @@ class StreamSummary:
     # -- folded counters --------------------------------------------------
 
     def _accs(self) -> "list[_ClassAcc]":
+        """The class accumulators every figure reads; an empty report has
+        no figures, so this is where it raises."""
+        if not self._classes:
+            raise ServingError("stream produced no responses")
         return list(self._classes.values())
 
     @property
     def n_requests(self) -> int:
-        return sum(acc.n for acc in self._accs())
+        return sum(acc.n for acc in self._classes.values())
 
     @property
     def n_replicas(self) -> int:
@@ -622,17 +684,32 @@ class StreamSummary:
 
     @property
     def per_replica_counts(self) -> tuple[int, ...]:
+        """Requests dispatched to each replica, in replica order.
+
+        Example::
+
+            >>> from repro.serving import Fleet, uniform_arrivals
+            >>> from repro.workloads.deepbench import task
+            >>> fleet = Fleet("gpu", replicas=2, policy="round-robin")
+            >>> report = fleet.serve_stream(uniform_arrivals(
+            ...     task("lstm", 512, 25), rate_per_s=100, n_requests=10))
+            >>> (report.n_replicas, report.per_replica_counts)
+            (2, (5, 5))
+        """
         counts = list(self._replica_counts)
         counts.extend([0] * (self.replicas - len(counts)))
         return tuple(counts)
 
     @property
     def mean_ms(self) -> float:
+        """Mean sojourn; in full mode, summed over the sorted sojourns."""
         accs = self._accs()
-        n = sum(acc.n for acc in accs)
-        if n == 0:
-            raise ServingError("stream produced no responses")
-        return sum(acc.sojourn_sum_ms for acc in accs) / n
+        if self.responses is not None:
+            values = self._response_sojourns
+            return sum(values) / len(values)
+        return sum(acc.sojourn_sum_ms for acc in accs) / sum(
+            acc.n for acc in accs
+        )
 
     @property
     def mean_queue_delay_ms(self) -> float:
@@ -643,6 +720,8 @@ class StreamSummary:
 
     @property
     def mean_service_ms(self) -> float:
+        """Average per-request accelerator time (batched requests count
+        their share of the batch latency)."""
         accs = self._accs()
         return sum(acc.service_sum_s for acc in accs) * 1e3 / sum(
             acc.n for acc in accs
@@ -650,22 +729,43 @@ class StreamSummary:
 
     @property
     def mean_batch_size(self) -> float:
+        """Average coalesced batch size across requests (1.0 = unbatched)."""
         accs = self._accs()
         return sum(acc.batch_sum for acc in accs) / sum(acc.n for acc in accs)
 
     @property
     def max_batch_size(self) -> int:
+        """Largest batch any request was served in."""
         return max(acc.batch_max for acc in self._accs())
 
     @property
     def throughput_rps(self) -> float:
-        makespan = max(acc.max_finish_s for acc in self._accs())
+        """Completed requests per second of stream makespan."""
+        makespan = self.makespan_s
         if makespan <= 0:
             return math.inf
         return self.n_requests / makespan
 
     @property
     def padding_waste_frac(self) -> float:
+        """Fraction of executed FLOPs wasted on sequence padding.
+
+        A batched execution of mixed-length requests runs every request
+        at the longest member's length (the ``pad`` / ``bucket``
+        policies); the excess over each request's own work is waste.
+        Unbatched (batch-1) serving — the paper's spatial-accelerator
+        scenario — never pads, so this is 0.0 for ``batcher="none"``.
+
+        Example::
+
+            >>> from repro.serving import ServingEngine, uniform_arrivals
+            >>> from repro.workloads.deepbench import task
+            >>> report = ServingEngine("gpu").serve_stream(
+            ...     uniform_arrivals(task("lstm", 512, 25),
+            ...                      rate_per_s=100, n_requests=10))
+            >>> report.padding_waste_frac
+            0.0
+        """
         accs = self._accs()
         executed = sum(acc.exec_flops for acc in accs)
         useful = sum(acc.n * acc.useful_flops for acc in accs)
@@ -675,6 +775,11 @@ class StreamSummary:
 
     @property
     def offered_rate_per_s(self) -> float:
+        """Arrival rate implied by the stream's time span.
+
+        A single request has no rate (0.0); several requests arriving
+        at the same instant are an infinite-rate burst.
+        """
         span = max(acc.max_arrival_s for acc in self._accs())
         if span > 0:
             return self.n_requests / span
@@ -682,13 +787,15 @@ class StreamSummary:
 
     @property
     def max_rate_per_s(self) -> float:
-        """Sustainable rate of the serving capacity the stream used —
-        mirroring ``StreamReport`` / ``FleetReport``.
+        """Sustainable rate of the serving capacity the stream used.
 
         Homogeneous: one over the mean service time, times the (peak)
-        replica count — the exact historical formula.  Mixed fleets sum
-        each replica's own ``1 / mean_service`` under its platform
-        (platforms that served nothing fall back to the fleet mean).
+        replica count.  A mixed fleet sums each replica's *own*
+        ``1 / mean_service`` under its platform; multiplying a
+        fleet-wide mean by the replica count would let a slow edge tier
+        inflate the fast tier's capacity and vice versa.  Platforms that
+        served nothing fall back to the fleet-wide mean.  With
+        autoscaling this is the *peak* capacity the stream reached.
         """
         roster = self.replica_platforms
         if len(set(roster)) <= 1:
@@ -704,6 +811,7 @@ class StreamSummary:
 
     @property
     def saturated(self) -> bool:
+        """True when arrivals outpace what the servers can drain."""
         return self.offered_rate_per_s >= self.max_rate_per_s
 
     # -- energy / TCO accounting ------------------------------------------
@@ -726,21 +834,26 @@ class StreamSummary:
     def replica_platforms(self) -> "tuple[str, ...]":
         """Platform key of every provisioned replica, in replica order
         (shard order after a merge)."""
-        if self._platforms:
-            return self._platforms
+        if self.platforms:
+            return self.platforms
         return (self.platform,) * self.replicas
 
     @property
     def per_platform_counts(self) -> "dict[str, int]":
         """Requests served per *executing* platform; sums to
-        ``n_requests``."""
+        ``n_requests``, so mixed fleets attribute work correctly."""
         _service, count = self._per_platform_service()
         return dict(sorted(count.items()))
 
     @property
     def energy_j(self) -> float:
-        """Busy energy: accelerator-seconds × that platform's power
-        draw, exactly as on :class:`~repro.serving.engine.StreamReport`."""
+        """Busy energy: accelerator-seconds × that platform's power draw.
+
+        Each request is charged at the power of the platform that
+        *executed* it (Table 4/5 measured peak when reported, TDP
+        otherwise) — idle replicas contribute nothing here (see
+        :attr:`fleet_watt_hours` for the provisioned bill).
+        """
         service, _count = self._per_platform_service()
         return sum(
             seconds * tdp_of(name) for name, seconds in service.items()
@@ -760,9 +873,16 @@ class StreamSummary:
 
     @property
     def cost_usd_per_1m_requests(self) -> float:
-        """Electricity plus amortized capital for the provisioned fleet,
-        normalized to one million requests — the capacity planner's
-        objective (see ``StreamReport.cost_usd_per_1m_requests``)."""
+        """Total cost of ownership normalized to one million requests.
+
+        Electricity for the provisioned fleet over the makespan
+        (:attr:`fleet_watt_hours` at :data:`ELECTRICITY_USD_PER_KWH`)
+        plus linear capital amortization of every provisioned device
+        (:func:`repro.platforms.device_usd_per_hour`), divided by the
+        requests actually served and scaled to 1M.  This is the
+        objective the capacity planner (:mod:`repro.dse.capacity`)
+        minimizes.
+        """
         hours = self.makespan_s / 3600.0
         energy_usd = self.fleet_watt_hours / 1e3 * ELECTRICITY_USD_PER_KWH
         capital_usd = hours * sum(
@@ -772,6 +892,11 @@ class StreamSummary:
 
     @property
     def slo_miss_rate(self) -> float:
+        """Fraction of requests whose sojourn exceeded their SLO.
+
+        Each request is judged against its own ``slo_ms`` when set,
+        falling back to the stream-level SLO otherwise.
+        """
         accs = self._accs()
         if any(acc.eff_slo_ms is None for acc in accs):
             raise ServingError("no SLO configured for this stream")
@@ -779,6 +904,7 @@ class StreamSummary:
 
     @property
     def slo_attainment(self) -> float:
+        """Fraction of requests that met their SLO (1 - miss rate)."""
         return 1.0 - self.slo_miss_rate
 
     @property
@@ -786,28 +912,58 @@ class StreamSummary:
         return self.slo_ms is not None and self.p99_ms <= self.slo_ms
 
     def uniform_slo_ms(self) -> float | None:
-        """The single request-level SLO every request carried, if any."""
-        tags = {acc.slo_key for acc in self._accs()}
+        """The single request-level SLO every request carried, if any.
+
+        ``None`` when requests carry mixed (or no) per-request SLO tags —
+        callers then fall back to the stream-level SLO.
+        """
+        tags = {acc.slo_key for acc in self._classes.values()}
         if len(tags) == 1:
             return tags.pop()
         return None
 
+    def replica_utilization(self) -> tuple[float, ...]:
+        """Busy fraction of each replica over the stream's makespan
+        (needs the ``assignments`` only a full-mode report keeps)."""
+        if not self.assignments:
+            raise ServingError(
+                "replica utilization needs a full-mode, unsliced report"
+            )
+        busy = [0.0] * self.replicas
+        for replica, resp in zip(self.assignments, self.responses):
+            busy[replica] += resp.service_s
+        makespan = self.makespan_s
+        return tuple(b / makespan for b in busy)
+
     # -- quantiles --------------------------------------------------------
+
+    @cached_property
+    def _response_sojourns(self) -> "list[float]":
+        """A full-mode report's sojourns, sorted once."""
+        return sorted(r.sojourn_ms for r in self.responses)
+
+    def _sorted_sojourns(self) -> "list[float] | None":
+        """Every sojourn, sorted: a full-mode report's responses, or the
+        class reservoirs while none has spilled; ``None`` otherwise."""
+        accs = self._accs()
+        if self.responses is not None:
+            return self._response_sojourns
+        if any(acc.samples is None for acc in accs):
+            return None
+        values: list[float] = []
+        for acc in accs:
+            values.extend(acc.samples)  # type: ignore[arg-type]
+        values.sort()
+        return values
 
     def percentile_ms(self, q: float) -> float:
         """Sojourn percentile: exact while every class is inside its
         reservoir, histogram-estimated (~1%) beyond."""
-        accs = self._accs()
-        if not accs:
-            raise ServingError("percentile of an empty stream")
-        if all(acc.samples is not None for acc in accs):
-            values: list[float] = []
-            for acc in accs:
-                values.extend(acc.samples)  # type: ignore[arg-type]
-            values.sort()
+        values = self._sorted_sojourns()
+        if values is not None:
             return percentile(values, q)
         counts = [0] * _HIST_BUCKETS
-        for acc in accs:
+        for acc in self._accs():
             if acc.counts is not None:
                 bucket_counts = acc.counts
                 for idx in range(_HIST_BUCKETS):
@@ -851,79 +1007,108 @@ class StreamSummary:
 
     # -- slices -----------------------------------------------------------
 
-    def _subset(self, accs: Iterable[tuple]) -> "StreamSummary":
-        sub = StreamSummary(
-            self.platform,
-            slo_ms=self.slo_ms,
-            scheduler=self.scheduler,
-            batcher=self.batcher,
-            band_base=self.band_base,
-            faults=self.faults,
-            _classes={key: self._classes[key] for key in accs},
-        )
-        # Stream-wide metadata (scale events, fault counters) is not
-        # attributable to a slice; slices keep the identities.
-        sub.scale_events = ()
-        return sub
+    def _slices(self, label: "Callable[[_ClassAcc], Any]") -> dict:
+        """Sub-reports keyed by ``label(class)``, in sorted label order.
+
+        Stream-wide metadata (scale events, fault counters, replica
+        assignments) is not attributable to a slice; slices keep the
+        identities, and a full-mode slice keeps its own responses.
+        """
+        groups: dict = {}
+        label_of: dict[tuple, Any] = {}
+        for key, acc in self._classes.items():
+            label_of[key] = group = label(acc)
+            groups.setdefault(group, []).append(key)
+        kept: dict = {group: [] for group in groups}
+        if self.responses is not None:
+            for r in self.responses:
+                kept[label_of[_class_key(r.request, r.outcome)]].append(r)
+        slices = {}
+        for group in sorted(groups):
+            sub = StreamSummary(
+                self.platform,
+                slo_ms=self.slo_ms,
+                scheduler=self.scheduler,
+                batcher=self.batcher,
+                band_base=self.band_base,
+                faults=self.faults,
+                _classes={key: self._classes[key] for key in groups[group]},
+            )
+            if self.responses is not None:
+                sub.responses = tuple(kept[group])
+            slices[group] = sub
+        return slices
 
     @property
     def tenants(self) -> tuple[str, ...]:
-        return tuple(sorted({acc.tenant for acc in self._accs()}))
+        """Sorted tenant names present in the stream."""
+        return tuple(sorted({acc.tenant for acc in self._classes.values()}))
 
     @property
     def priorities(self) -> tuple[int, ...]:
-        return tuple(sorted({acc.priority for acc in self._accs()}))
+        """Sorted priority classes present in the stream."""
+        return tuple(sorted({acc.priority for acc in self._classes.values()}))
 
     def per_tenant(self) -> "dict[str, StreamSummary]":
-        """Sub-summaries keyed by tenant (same online accumulators)."""
-        groups: dict[str, list[tuple]] = {}
-        for key, acc in self._classes.items():
-            groups.setdefault(acc.tenant, []).append(key)
-        return {t: self._subset(groups[t]) for t in sorted(groups)}
+        """Sub-reports keyed by tenant, each over that tenant's requests."""
+        return self._slices(lambda acc: acc.tenant)
 
     def per_priority(self) -> "dict[int, StreamSummary]":
-        """Sub-summaries keyed by priority class."""
-        groups: dict[int, list[tuple]] = {}
-        for key, acc in self._classes.items():
-            groups.setdefault(acc.priority, []).append(key)
-        return {p: self._subset(groups[p]) for p in sorted(groups)}
+        """Sub-reports keyed by priority class."""
+        return self._slices(lambda acc: acc.priority)
 
     @property
     def outcomes(self) -> tuple[str, ...]:
-        return tuple(sorted({acc.outcome for acc in self._accs()}))
+        """Sorted outcomes present (``("ok",)`` outside fault runs)."""
+        return tuple(sorted({acc.outcome for acc in self._classes.values()}))
 
     def per_outcome(self) -> "dict[str, StreamSummary]":
-        """Sub-summaries keyed by outcome (``"ok"``/``"retried"``/
-        ``"hedged"``/``"timeout"``).
+        """Sub-reports keyed by outcome: how fault-injected requests
+        left the system (``"ok"``/``"retried"``/``"hedged"``/
+        ``"timeout"``); counts always sum to ``n_requests``.
 
-        Per-outcome request counts always sum to ``n_requests``; outside
-        fault-injected runs the only key is ``"ok"``.
+        Example::
+
+            >>> from repro.serving import ServingEngine, uniform_arrivals
+            >>> from repro.workloads.deepbench import task
+            >>> report = ServingEngine("gpu").serve_stream(
+            ...     uniform_arrivals(task("lstm", 512, 25),
+            ...                      rate_per_s=100, n_requests=10))
+            >>> sorted(report.per_outcome()) == ["ok"]
+            True
         """
-        groups: dict[str, list[tuple]] = {}
-        for key, acc in self._classes.items():
-            groups.setdefault(acc.outcome, []).append(key)
-        return {o: self._subset(groups[o]) for o in sorted(groups)}
+        return self._slices(lambda acc: acc.outcome)
 
     def per_length_band(self, band_base: float = 2.0) -> "dict[str, StreamSummary]":
-        """Sub-summaries keyed by geometric sequence-length band.
+        """Sub-reports keyed by geometric sequence-length band.
 
-        The band base is fixed when the summary starts accumulating
-        (``band_base`` at construction); asking for a different base
-        afterwards raises — an online summary cannot re-bucket history.
+        Requests are grouped by their *own* ``timesteps`` into bands
+        ``[base^k, base^(k+1))``, labelled ``"T16-31"`` etc., so tail
+        latency can be read per length class — long requests hiding
+        behind a healthy global P99 show up here.  The band base is
+        fixed when the report starts accumulating (``band_base`` at
+        construction); asking for a different base afterwards raises —
+        the report cannot re-bucket its classes.
+
+        Example::
+
+            >>> from repro.serving import (ServingEngine, ZipfLength,
+            ...                            poisson_arrivals)
+            >>> from repro.workloads.deepbench import task
+            >>> report = ServingEngine("gpu").serve_stream(poisson_arrivals(
+            ...     task("lstm", 512, 25), rate_per_s=500, n_requests=40,
+            ...     seed=1, lengths=ZipfLength(8, 120)))
+            >>> bands = report.per_length_band()
+            >>> sum(b.n_requests for b in bands.values()) == report.n_requests
+            True
         """
         if band_base != self.band_base:
             raise ServingError(
                 f"summary accumulated length bands at base {self.band_base}; "
                 f"re-run the stream with band_base={band_base} to re-bucket"
             )
-        groups: dict[tuple[int, int], list[tuple]] = {}
-        for key, acc in self._classes.items():
-            band = length_band(acc.timesteps, band_base)
-            groups.setdefault(band, []).append(key)
-        return {
-            f"T{lo}-{hi}": self._subset(groups[(lo, hi)])
-            for lo, hi in sorted(groups)
-        }
+        bands = self._slices(lambda acc: length_band(acc.timesteps, band_base))
+        return {f"T{lo}-{hi}": sub for (lo, hi), sub in bands.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

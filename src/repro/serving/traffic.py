@@ -279,8 +279,8 @@ def length_band(timesteps: int, band_base: float = 2.0) -> tuple[int, int]:
 
     Bands partition lengths into ``[base^k, base^(k+1))`` intervals —
     the grouping used by the ``bucket`` batcher and by
-    :meth:`StreamReport.per_length_band
-    <repro.serving.engine.StreamReport.per_length_band>`.  Edges are
+    :meth:`StreamSummary.per_length_band
+    <repro.serving.stats.StreamSummary.per_length_band>`.  Edges are
     found by exact multiplication up from 1 rather than a float
     logarithm, so boundary lengths land in the right band (``floor(log)``
     puts 1000 in base-10 band 2 because ``log10(1000)`` rounds below 3).
@@ -779,7 +779,7 @@ def record_trace(requests: Iterable[ServeRequest], path: str | Path) -> Path:
 
     Floats are serialized with ``repr`` precision, so
     :func:`replay_trace` reproduces the exact same requests — and
-    therefore the exact same :class:`~repro.serving.engine.StreamReport`.
+    therefore the exact same :class:`~repro.serving.stats.StreamSummary`.
 
     Example::
 

@@ -1,7 +1,7 @@
 """Degenerate streams and registry collisions.
 
 Covers the satellite checklist: empty/single-request percentile edge
-cases in ``StreamReport`` (including ``per_tenant()``/``per_priority()``
+cases in ``StreamSummary`` (including ``per_tenant()``/``per_priority()``
 slices that leave one response per class) and duplicate-name
 registration errors across the platform/scheduler/batcher registries.
 """
@@ -15,12 +15,12 @@ from repro.serving import (
     Scheduler,
     ServeRequest,
     ServingEngine,
-    StreamReport,
+    StreamSummary,
     register_batcher,
     register_platform,
     register_scheduler,
 )
-from repro.serving.engine import _percentile
+from repro.serving.stats import percentile
 from repro.workloads.deepbench import task
 
 T = task("lstm", 512, 25)
@@ -37,7 +37,7 @@ def _single_response(tenant="default", priority=0, arrival=0.0):
 class TestEmptyStreams:
     def test_empty_report_rejected(self):
         with pytest.raises(ServingError, match="no responses"):
-            StreamReport(platform="gpu", responses=())
+            StreamSummary("gpu").merge(StreamSummary("gpu")).finalize()
 
     def test_empty_arrivals_rejected(self):
         with pytest.raises(ServingError, match="at least one request"):
@@ -45,7 +45,7 @@ class TestEmptyStreams:
 
     def test_percentile_of_empty_rejected(self):
         with pytest.raises(ServingError, match="empty"):
-            _percentile([], 50)
+            percentile([], 50)
 
 
 class TestSingleRequestStreams:

@@ -298,14 +298,19 @@ class TestReportBreakdowns:
         )
         assert report.scheduler == "edf"
 
-    def test_fleet_report_breakdown_is_plain_stream_report(self):
-        from repro.serving import Fleet, StreamReport, uniform_arrivals as ua
+    def test_fleet_report_slices_carry_no_assignments_or_scale_events(self):
+        from repro.serving import Autoscaler, Fleet, uniform_arrivals as ua
 
         report = Fleet("gpu", replicas=2).serve_stream(
-            ua(task("lstm", 512, 25), rate_per_s=100.0, n_requests=10)
+            ua(task("lstm", 512, 25), rate_per_s=4000.0, n_requests=40),
+            autoscaler=Autoscaler(min_replicas=1, max_replicas=3,
+                                  cooldown_s=0.0),
         )
+        assert report.scale_events and len(report.assignments) == 40
         sub = report.per_tenant()["default"]
-        assert type(sub) is StreamReport
+        assert sub.assignments == ()
+        assert sub.scale_events == ()
+        assert sub.responses == report.responses
 
 
 #: Pre-redesign golden values captured from the original serve_on_*

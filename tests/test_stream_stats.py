@@ -1,7 +1,7 @@
-"""StreamSummary vs StreamReport parity, memoization, and streaming paths.
+"""Summary-mode vs full-mode parity, memoization, and streaming paths.
 
-The O(1)-memory summary (``serve_stream(..., mode="summary")``) must be
-a drop-in mirror of the materialized report: every counter-derived
+The O(1)-memory summary (``serve_stream(..., mode="summary")``) must
+mirror the full-mode report of the same stream: every counter-derived
 figure **exactly** equal (request counts, SLO attainment, batch sizes,
 padding waste — these are integer/count arithmetic in both
 representations), float means equal to reordering, and quantiles inside
@@ -34,6 +34,7 @@ from repro.serving import (
     ZipfLength,
     diurnal_arrivals,
     iter_trace,
+    length_band,
     mix,
     mmpp_arrivals,
     normalize_arrivals,
@@ -65,9 +66,45 @@ def _assert_quantile_close(estimate, sojourns_ms, q):
     assert lo <= estimate <= hi, (estimate, lo, hi, q)
 
 
+def _assert_recount(report, summary, *, check_slo=True):
+    """Both modes against figures recounted straight from the full
+    report's responses and assignments: counters exact, means to
+    reordering."""
+    responses = report.responses
+    n = len(responses)
+    batches = [r.batch_size for r in responses]
+    executed = sum(r.result.task.flops for r in responses)
+    useful = sum(r.request.task.flops for r in responses)
+    padding = (executed - useful) / executed if executed > 0 else 0.0
+    means = {
+        "mean_ms": sum(r.sojourn_ms for r in responses) / n,
+        "mean_queue_delay_ms": sum(r.queue_delay_s for r in responses) * 1e3 / n,
+        "mean_service_ms": sum(r.service_s for r in responses) * 1e3 / n,
+    }
+    for got in (report, summary):
+        assert got.n_requests == n
+        assert got.mean_batch_size == sum(batches) / n
+        assert got.max_batch_size == max(batches)
+        assert got.padding_waste_frac == padding
+        for name, value in means.items():
+            assert getattr(got, name) == pytest.approx(value, rel=1e-9, abs=1e-15)
+        if check_slo:
+            misses = sum(
+                1 for r in responses
+                if r.sojourn_ms > r.request.effective_slo_ms(report.slo_ms)
+            )
+            assert got.slo_miss_rate == misses / n
+        if report.assignments:
+            counts = [0] * report.replicas
+            for replica in report.assignments:
+                counts[replica] += 1
+            assert got.per_replica_counts == tuple(counts)
+
+
 def _assert_mirrors(report, summary, *, check_slo=True):
     """Every shared figure: counters exact, means to reordering,
     quantiles within estimator tolerance."""
+    _assert_recount(report, summary, check_slo=check_slo)
     assert summary.n_requests == report.n_requests
     assert summary.mean_batch_size == report.mean_batch_size
     assert summary.max_batch_size == report.max_batch_size
@@ -227,6 +264,40 @@ class TestSummaryExactSmallStreams:
         assert summary.n_requests == 1
         assert summary.p50_ms == summary.p99_ms == summary.mean_ms
         assert summary.offered_rate_per_s == 0.0
+
+
+class TestFullModeReport:
+    def test_large_class_stays_exact_and_slices_keep_their_responses(self):
+        arrivals = mix(
+            poisson_arrivals(T, rate_per_s=1000, n_requests=300, seed=3,
+                             tenant="a"),
+            poisson_arrivals(GRU, rate_per_s=300, n_requests=100, seed=4,
+                             tenant="b", lengths=ZipfLength(8, 120)),
+        )
+        full = ServingEngine("gpu").serve_stream(arrivals, slo_ms=5.0)
+        summary = ServingEngine("gpu").serve_stream(
+            arrivals, slo_ms=5.0, mode="summary"
+        )
+        assert type(full) is type(summary)
+        # Tenant "a" is one class, far past the summary-mode reservoir.
+        assert full.per_tenant()["a"].n_requests > EXACT_SAMPLE_CAP
+        sojourns = sorted(r.sojourn_ms for r in full.responses)
+        assert full.p99_ms == percentile(sojourns, 99)
+        assert full.mean_ms == sum(sojourns) / len(sojourns)
+
+        def band(response):
+            lo, hi = length_band(response.request.task.timesteps, 2.0)
+            return f"T{lo}-{hi}"
+
+        for slices, key_of in (
+            (full.per_tenant(), lambda r: r.request.tenant),
+            (full.per_length_band(), band),
+        ):
+            for key, sub in slices.items():
+                assert sub.responses == tuple(
+                    r for r in full.responses if key_of(r) == key
+                )
+        assert summary.responses is None
 
 
 class TestSummaryErrors:

@@ -108,6 +108,21 @@ class TestMergeIdentity:
         b = StreamSummary("gpu", slo_ms=5.0)
         assert a.merge(b).is_empty
 
+    @pytest.mark.parametrize("figure", [
+        "mean_ms", "mean_queue_delay_ms", "mean_service_ms",
+        "mean_batch_size", "max_batch_size", "throughput_rps",
+        "padding_waste_frac", "offered_rate_per_s", "max_rate_per_s",
+        "saturated", "makespan_s", "per_platform_counts", "energy_j",
+        "joules_per_request", "fleet_watt_hours", "cost_usd_per_1m_requests",
+        "slo_miss_rate", "slo_attainment", "min_sojourn_ms",
+        "max_sojourn_ms", "p50_ms", "p99_ms",
+    ])
+    def test_empty_figures_raise(self, figure):
+        empty = StreamSummary("gpu").merge(StreamSummary("gpu"))
+        assert empty.n_requests == 0 and empty.is_empty
+        with pytest.raises(ServingError, match="stream produced no responses"):
+            getattr(empty, figure)
+
     def test_merge_does_not_mutate_inputs(self):
         responses = _responses(80)
         left = _summary_of(responses[:40])

@@ -7,8 +7,13 @@ Fails (exit 1) when a module under ``src/repro/serving/`` or
 undocumented.  Likewise every registered mapping compiler pass
 (``repro.mapping.passes``) must appear in ARCHITECTURE.md by its
 registry name — the pass list is read off the live registry, so a new
-pass cannot land without a doc entry.  Also sanity-checks that the
-docs/ suite and the README cross-link each other.
+pass cannot land without a doc entry.  Every backticked CamelCase class
+name in ``docs/*.md`` and ``README.md`` (``StreamSummary``,
+``Fleet.serve_stream`` ...) must be a class defined under ``src/repro``,
+so a deleted or renamed class cannot linger in the docs (Python's
+builtin classes, such as ``ValueError``, are accepted too).  Also
+sanity-checks that the docs/ suite and the README cross-link each
+other.
 
 Run from the repo root (CI does):
 
@@ -18,6 +23,8 @@ Run from the repo root (CI does):
 from __future__ import annotations
 
 import argparse
+import builtins
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +52,36 @@ REQUIRED_LINKS = {
 #: the flags are read off the live argparse parser, so a new flag cannot
 #: land without a reference row.
 CLI_DOC = REPO / "docs" / "CLI.md"
+
+
+#: Fenced code blocks (blanked before scanning, keeping line numbers),
+#: inline code spans, a span's leading identifier, CamelCase, and a
+#: class statement.
+_FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+_SPAN = re.compile(r"`([^`\n]+)`")
+_LEADING_NAME = re.compile(r"\s*([A-Za-z_]\w*)")
+_CAMEL = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+")
+_CLASS = re.compile(r"^\s*class\s+(\w+)", re.M)
+
+
+def stale_class_names() -> list[str]:
+    """``doc:line: Name`` for each backticked CamelCase name in the docs
+    that no ``class`` statement under ``src/repro`` (nor ``builtins``)
+    defines."""
+    defined: set[str] = set(dir(builtins))
+    for path in (REPO / "src" / "repro").rglob("*.py"):
+        defined.update(_CLASS.findall(path.read_text()))
+    stale = []
+    for doc in [*sorted((REPO / "docs").glob("*.md")), REPO / "README.md"]:
+        if not doc.exists():
+            continue
+        text = _FENCE.sub(lambda m: "\n" * m.group(0).count("\n"), doc.read_text())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for span in _SPAN.findall(line):
+                name = _LEADING_NAME.match(span)
+                if name and _CAMEL.fullmatch(name[1]) and name[1] not in defined:
+                    stale.append(f"{doc.relative_to(REPO)}:{lineno}: {name[1]}")
+    return stale
 
 
 def serve_flags() -> list[str]:
@@ -127,6 +164,10 @@ def main() -> int:
                 f"docs/ARCHITECTURE.md does not mention the mapping "
                 f"compiler pass {name!r}"
             )
+
+    stale = stale_class_names()
+    for entry in stale:
+        failures.append(f"{entry} names a class not defined under src/repro")
 
     if failures:
         print("docs-check FAILED:")

@@ -20,10 +20,11 @@ passes, bigger fleet spaces) gets all three speedups for free:
   exactness argument).  Feasible candidates are never aborted, so the
   planner's ``best`` and feasible frontier are unchanged by pruning.
 * :class:`EvalMemo` — a keyed LRU for the chip DSE's
-  map-and-simulate results, plus an on-disk JSON cache
-  (:func:`load_cached` / :func:`store_cached`) keyed by a
-  space/workload :func:`fingerprint` so repeated sweeps (CI
-  perf-smoke, notebook reruns) are warm across processes.
+  map-and-simulate results.
+* An on-disk JSON cache (:func:`load_cached` / :func:`store_cached`)
+  keyed by a space/workload :func:`fingerprint`, so repeated capacity
+  plans (``--dse-cache``, notebook reruns) are warm across processes.
+  Only the capacity planner uses it.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Exhaustive map-and-simulate search over a parameter space.
 
-Since the shared DSE runner (:mod:`repro.dse.runner`) landed, the sweep
-is memoized, hoisted, and parallel:
+Each candidate's program is timing-only: it is built over zero-stride
+broadcast weights (:func:`_zero_weights`), so it carries memory shapes
+in no bytes, and mapping and cycle simulation never read a value.  On
+top of that, the sweep is memoized, hoisted, and parallel through the
+shared DSE runner (:mod:`repro.dse.runner`):
 
 * the task *program* is built once per :class:`LoopParams` and reused
   across the pass-config axis (pass configs only affect mapping, not
-  the program);
+  the program, and the reuse keeps the program's trace cache warm);
 * every mapped-and-simulated point lands in a per-process LRU
   (:class:`~repro.dse.runner.EvalMemo`) keyed by ``(task family,
   params, bits, chip, pass_config)`` — the result scales exactly with
@@ -13,26 +16,17 @@ is memoized, hoisted, and parallel:
   of one family share entries;
 * :func:`search` fans parameter points onto a worker pool
   (``workers=``) in candidate order, bit-identical to the sequential
-  loop, and can persist the full result to an on-disk JSON cache
-  (``cache_dir=``) keyed by a space/workload fingerprint.
+  loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from repro.errors import DSEError
-from repro.dse.runner import (
-    DSEStats,
-    EvalMemo,
-    fingerprint,
-    load_cached,
-    run_jobs,
-    store_cached,
-)
+from repro.dse.runner import DSEStats, EvalMemo, run_jobs
 from repro.dse.space import ParameterSpace
 from repro.mapping.mapper import MappedDesign, map_rnn_program
 from repro.mapping.passes import PassConfig
@@ -47,8 +41,10 @@ __all__ = ["SearchPoint", "DSEResult", "search", "build_task_program"]
 
 
 def _zero_weights(task: RNNTask):
-    """Weight containers backed by broadcast zero views — no allocation,
-    usable for tracing/mapping (performance estimation only)."""
+    """Weight containers backed by zero-stride broadcast views: the
+    logical weight shapes in no bytes.  Builders bind them as views
+    and only the interpreter allocates, so a timing-only build allocates
+    no weight storage (mapping and simulation never read values)."""
     shape = task.shape
     w = {
         g: np.broadcast_to(0.0, (shape.hidden, shape.concat_dim))
@@ -96,9 +92,9 @@ class DSEResult:
     task: RNNTask
     best: SearchPoint
     points: tuple[SearchPoint, ...] = field(repr=False)
-    #: Execution counters (memo hits, program builds, workers, cache
-    #: provenance).  Excluded from equality: two runs at different
-    #: worker counts or cache temperatures return *equal* results.
+    #: Execution counters (memo hits, program builds, workers).
+    #: Excluded from equality: two runs at different worker counts or
+    #: memo temperatures return *equal* results.
     stats: "DSEStats | None" = field(default=None, compare=False, repr=False)
 
     @property
@@ -178,24 +174,22 @@ def evaluate(
     bits: int = 8,
     require_capacity: bool = False,
     pass_config: PassConfig | None = None,
-    program=None,
     memoize: bool = True,
 ) -> SearchPoint:
     """Map and simulate one candidate point.
 
-    ``program`` reuses an already-built task program (the hoist
-    :func:`search` applies across the pass-config axis); ``memoize``
-    consults the per-process :class:`~repro.dse.runner.EvalMemo` first
-    — a hit reconstructs the point bit-identically (per-step cycles and
-    resources are length-independent; the total is
-    ``timesteps * cycles_per_step``, the simulator's own identity).
+    ``memoize`` consults the per-process
+    :class:`~repro.dse.runner.EvalMemo` first — a hit reconstructs the
+    point bit-identically (per-step cycles and resources are
+    length-independent; the total is ``timesteps * cycles_per_step``,
+    the simulator's own identity).  ``memoize=False`` is the unmemoized
+    reference.
     """
     pc = pass_config or PassConfig()
     key = _memo_key(task, params, chip, bits, pc)
     record = _MEMO.get(key) if memoize else None
     if record is None:
-        if program is None:
-            program = build_task_program(task, params)
+        program = build_task_program(task, params)
         record = _evaluate_program(program, chip, bits, pass_config)
         if memoize:
             _MEMO.put(key, record)
@@ -251,91 +245,6 @@ def _evaluate_params(job: _SearchJob) -> tuple[list[SearchPoint], int, int]:
     return points, builds, hits
 
 
-def _search_fingerprint(
-    task: RNNTask,
-    chip: PlasticineConfig,
-    space: ParameterSpace,
-    bits: int,
-    require_capacity: bool,
-) -> str:
-    return fingerprint(
-        {
-            "kind": "chip-dse",
-            "task": {
-                "kind": task.kind,
-                "hidden": task.hidden,
-                "timesteps": task.timesteps,
-                "layers": task.layers,
-                "decoder_timesteps": task.decoder_timesteps,
-            },
-            "chip": repr(chip),
-            "bits": bits,
-            "require_capacity": require_capacity,
-            "space": {
-                "max_hu": space.max_hu,
-                "ru_choices": space.ru_choices,
-                "pass_configs": [
-                    (pc.fuse_gates, pc.double_buffer)
-                    for pc in space.pass_configs
-                ],
-            },
-        }
-    )
-
-
-def _points_from_cache(payload: dict) -> tuple[SearchPoint, ...]:
-    return tuple(
-        SearchPoint(
-            params=LoopParams(**row["params"]),
-            cycles_per_step=row["cycles_per_step"],
-            total_cycles=row["total_cycles"],
-            fits=row["fits"],
-            pcus_used=row["pcus_used"],
-            pmus_used=row["pmus_used"],
-            pass_config=PassConfig(**row["pass_config"]),
-        )
-        for row in payload["points"]
-    )
-
-
-def _points_to_cache(points: "tuple[SearchPoint, ...]") -> list[dict]:
-    return [
-        {
-            "params": {
-                "hu": p.params.hu,
-                "ru": p.params.ru,
-                "rv": p.params.rv,
-                "hv": p.params.hv,
-            },
-            "cycles_per_step": p.cycles_per_step,
-            "total_cycles": p.total_cycles,
-            "fits": p.fits,
-            "pcus_used": p.pcus_used,
-            "pmus_used": p.pmus_used,
-            "pass_config": {
-                "fuse_gates": p.pass_config.fuse_gates,
-                "double_buffer": p.pass_config.double_buffer,
-            },
-        }
-        for p in points
-    ]
-
-
-def _result_from_points(
-    task: RNNTask,
-    chip: PlasticineConfig,
-    points: "tuple[SearchPoint, ...]",
-    stats: DSEStats,
-) -> DSEResult:
-    if not points:
-        raise DSEError(f"no candidate points for {task.name}")
-    feasible = [p for p in points if p.fits]
-    if not feasible:
-        raise DSEError(f"no feasible design for {task.name} on {chip.name}")
-    best = min(feasible, key=lambda p: (p.total_cycles, p.pcus_used))
-    return DSEResult(task=task, best=best, points=points, stats=stats)
-
-
 def search(
     task: RNNTask,
     chip: PlasticineConfig | None = None,
@@ -344,7 +253,6 @@ def search(
     bits: int = 8,
     require_capacity: bool = False,
     workers: int | None = None,
-    cache_dir: "str | Path | None" = None,
 ) -> DSEResult:
     """Search the space, returning the latency-optimal feasible point.
 
@@ -358,23 +266,10 @@ def search(
             (:func:`~repro.dse.runner.run_jobs`; default sequential).
             The point list, best point, and every field are
             bit-identical at any worker count — purely wall clock.
-        cache_dir: On-disk JSON result cache keyed by a fingerprint of
-            (task, chip, bits, space).  A hit returns the persisted
-            sweep without mapping anything; delete the directory to
-            invalidate after compiler changes.
     """
     chip = chip or PlasticineConfig.rnn_serving()
     space = space or ParameterSpace()
     stats = DSEStats(workers=workers or 1)
-    digest = None
-    if cache_dir is not None:
-        digest = _search_fingerprint(task, chip, space, bits, require_capacity)
-        payload = load_cached(cache_dir, "dse", digest)
-        if payload is not None:
-            points = _points_from_cache(payload)
-            stats.candidates = len(points)
-            stats.from_cache = True
-            return _result_from_points(task, chip, points, stats)
     jobs = [
         _SearchJob(
             task=task,
@@ -395,12 +290,10 @@ def search(
         stats.memo_hits += hits
     stats.candidates = len(points)
     stats.evaluated = len(points) - stats.memo_hits
-    result = _result_from_points(task, chip, tuple(points), stats)
-    if cache_dir is not None and digest is not None:
-        store_cached(
-            cache_dir,
-            "dse",
-            digest,
-            {"task": task.name, "points": _points_to_cache(result.points)},
-        )
-    return result
+    if not points:
+        raise DSEError(f"no candidate points for {task.name}")
+    feasible = [p for p in points if p.fits]
+    if not feasible:
+        raise DSEError(f"no feasible design for {task.name} on {chip.name}")
+    best = min(feasible, key=lambda p: (p.total_cycles, p.pcus_used))
+    return DSEResult(task=task, best=best, points=tuple(points), stats=stats)

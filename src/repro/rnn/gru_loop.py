@@ -49,6 +49,8 @@ def build_gru_program(
         raise ConfigError(f"xs must be (T, {shape.input_dim}), got {xs.shape}")
     n_steps = xs.shape[0]
     H, D = shape.hidden, shape.input_dim
+    # Pad both reductions to whole rv-blocks; the executor zero-fills past
+    # the bound D and H columns, so the extra lanes contribute nothing.
     d_pad = -(-D // params.rv) * params.rv
     h_pad = -(-H // params.rv) * params.rv
 
@@ -66,12 +68,8 @@ def build_gru_program(
     lut_tanh = prog.lut("tanh", tanh, lo=lo, hi=hi, entries=lut_entries, dtype=lut_dtype)
 
     for g in shape.gate_names:
-        wx_p = np.zeros((H, d_pad))
-        wx_p[:, :D] = weights.w[g][:, :D]
-        wh_p = np.zeros((H, h_pad))
-        wh_p[:, :H] = weights.w[g][:, D:]
-        prog.set_data(f"w{g}x", wx_p)
-        prog.set_data(f"w{g}h", wh_p)
+        prog.set_data(f"w{g}x", weights.w[g][:, :D])
+        prog.set_data(f"w{g}h", weights.w[g][:, D:])
         prog.set_data(f"b{g}", weights.b[g])
     prog.set_data("x_seq", xs)
 

@@ -78,9 +78,10 @@ def build_lstm_program(
         raise ConfigError(f"xs must be (T, {shape.input_dim}), got {xs.shape}")
     n_steps = xs.shape[0]
     H, D, R = shape.hidden, shape.input_dim, shape.concat_dim
-    # Pad the reduction dimension to a whole number of rv-blocks: the last
-    # vector block reads past R (the paper's 1-D fragmentation, Figure 4b);
-    # zero padding makes the garbage lanes contribute nothing.
+    # Declare the reduction dimension padded to whole rv-blocks: the last
+    # vector block reads past R (the paper's 1-D fragmentation, Figure 4b).
+    # The executor zero-fills past the bound R columns, so the garbage
+    # lanes contribute nothing.
     r_pad = -(-R // params.rv) * params.rv
 
     prog = Program(f"lstm_h{H}_t{n_steps}")
@@ -106,9 +107,7 @@ def build_lstm_program(
     lut_tanh = prog.lut("tanh", tanh, lo=lo, hi=hi, entries=lut_entries, dtype=lut_dtype)
 
     for g in shape.gate_names:
-        w_padded = np.zeros((H, r_pad))
-        w_padded[:, :R] = weights.w[g]
-        prog.set_data(f"w{g}", w_padded)
+        prog.set_data(f"w{g}", weights.w[g])
         prog.set_data(f"b{g}", weights.b[g])
     prog.set_data("x_seq", xs)
 

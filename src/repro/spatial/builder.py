@@ -76,7 +76,13 @@ class Program:
         return fn
 
     def set_data(self, name: str, array) -> None:
-        """Bind initial contents for a declared memory."""
+        """Bind initial contents for a declared memory.
+
+        An SRAM's array may be smaller than its declared shape (same
+        rank, no axis wider): the executor zero-fills the rest when it
+        allocates storage.  Binding keeps a view, so a broadcast view
+        binds shape-only data in no bytes.
+        """
         if name not in self.memories.all_names():
             raise DSLError(f"no memory named {name!r} in program {self.name!r}")
         self.data[name] = np.asarray(array, dtype=np.float64)

@@ -79,6 +79,12 @@ class Executor(Engine):
     """Vectorized numpy execution engine.
 
     Not constructed directly — use :meth:`repro.spatial.builder.Program.run`.
+
+    Every SRAM starts as zeros of its declared shape.  Bound data of the
+    same rank and no larger on any axis fills the leading block, the
+    rest stays zero, and the whole array is then quantized to the SRAM's
+    storage format; wider or different-rank data raises
+    :class:`~repro.errors.InterpreterError`.
     """
 
     def __init__(
@@ -99,16 +105,18 @@ class Executor(Engine):
         self.write_elems: dict[str, int] = {}
 
         for sram in memories.srams.values():
+            arr = np.zeros(sram.shape, dtype=np.float64)
             init = data.get(sram.name)
-            if init is None:
-                arr = np.zeros(sram.shape, dtype=np.float64)
-            else:
-                arr = np.asarray(init, dtype=np.float64).copy()
-                if arr.shape != sram.shape:
+            if init is not None:
+                init = np.asarray(init, dtype=np.float64)
+                if init.ndim != arr.ndim or any(
+                    n > extent for n, extent in zip(init.shape, sram.shape)
+                ):
                     raise InterpreterError(
-                        f"data for SRAM {sram.name!r} has shape {arr.shape}, "
-                        f"declared {sram.shape}"
+                        f"data for SRAM {sram.name!r} has shape {init.shape}, "
+                        f"which does not fit declared {sram.shape}"
                     )
+                arr[tuple(slice(0, n) for n in init.shape)] = init
                 if self.policy.quantize_storage and sram.dtype is not None:
                     arr = quantize(arr, sram.dtype)
             self.state[sram.name] = arr

@@ -9,8 +9,8 @@ The contracts that make the accelerated search loops trustworthy:
   ``plan.best`` or the feasible set, only how many requests it cost to
   conclude the infeasible candidates are infeasible.
 * **Memoization** — a warm chip-DSE sweep builds zero programs and
-  returns points equal to the cold sweep; the on-disk cache round-trips
-  both loops.
+  returns points equal to the cold sweep; the capacity planner's
+  on-disk cache round-trips.
 """
 
 import pytest
@@ -212,14 +212,6 @@ class TestSearchParity:
     def test_pass_axis_rejects_explicit_space(self):
         with pytest.raises(DSEError, match="pass_axis"):
             tune(CHIP_TASK, space=CHIP_SPACE, pass_axis=True)
-
-    def test_search_disk_cache(self, tmp_path):
-        cold = search(CHIP_TASK, space=CHIP_SPACE, cache_dir=tmp_path)
-        warm = search(CHIP_TASK, space=CHIP_SPACE, cache_dir=tmp_path)
-        assert not cold.stats.from_cache
-        assert warm.stats.from_cache
-        assert warm.points == cold.points
-        assert warm.best == cold.best
 
 
 class TestCLI:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import DSLBoundsError, DSLError
+from repro.errors import DSLBoundsError, DSLError, InterpreterError
 from repro.precision import FP8, FP16
 from repro.spatial import (
     Foreach,
@@ -343,3 +343,65 @@ class TestPrecisionPolicyExecution:
         pol = PrecisionPolicy.plasticine_mixed()
         assert pol.accum.name == "fp32"
         assert pol.reduce_stage1.name == "fp16"
+
+
+class TestBindingContract:
+    """Bound data may be narrower than the declared SRAM: the executor
+    allocates the declared shape and zero-fills past the bound block."""
+
+    def _dot_program(self, dtype=None):
+        prog = Program("padded_dot")
+        w = prog.sram("w", (2, 8), dtype=dtype)
+        x = prog.sram("x", (8,), dtype=dtype)
+        y = prog.sram("y", (2,))
+
+        @prog.main
+        def body():
+            Foreach(
+                Range(2),
+                lambda i: y.write(Reduce(Range(8), lambda k: w[i, k] * x[k]), i),
+            )
+
+        return prog
+
+    def test_narrower_bind_zero_fills_tail(self):
+        prog = self._dot_program()
+        prog.set_data("w", np.arange(10.0).reshape(2, 5))
+        # The x tail is garbage: only the zero w tail keeps it out of y.
+        ex = prog.run(data={"x": np.ones(8) * 7.0})
+        np.testing.assert_array_equal(ex.state["w"][:, 5:], 0.0)
+        np.testing.assert_array_equal(
+            ex.state["y"], np.arange(10.0).reshape(2, 5).sum(axis=1) * 7.0
+        )
+
+    def test_narrower_bind_under_quantizing_policy(self):
+        prog = self._dot_program(dtype=FP8)
+        w = np.full((2, 3), 1.06)
+        ex = prog.run(
+            policy=PrecisionPolicy(quantize_storage=True),
+            data={"w": w, "x": np.ones(8)},
+        )
+        np.testing.assert_array_equal(ex.state["w"][:, :3], 1.0)  # quantized
+        np.testing.assert_array_equal(ex.state["w"][:, 3:], 0.0)
+        np.testing.assert_array_equal(ex.state["y"], 3.0)
+
+    def test_broadcast_view_binds_without_copying(self):
+        prog = self._dot_program()
+        view = np.broadcast_to(0.0, (2, 5))
+        prog.set_data("w", view)
+        assert np.shares_memory(prog.data["w"], view)
+        np.testing.assert_array_equal(prog.run().state["w"], np.zeros((2, 8)))
+
+    def test_wider_bind_rejected(self):
+        prog = self._dot_program()
+        with pytest.raises(InterpreterError, match="does not fit"):
+            prog.run(data={"w": np.zeros((2, 9))})
+        with pytest.raises(InterpreterError, match="does not fit"):
+            prog.run(data={"w": np.zeros((3, 8))})
+
+    def test_different_rank_rejected(self):
+        prog = self._dot_program()
+        with pytest.raises(InterpreterError, match="does not fit"):
+            prog.run(data={"w": np.zeros(16)})
+        with pytest.raises(InterpreterError, match="does not fit"):
+            prog.run(data={"x": np.zeros((1, 8))})

@@ -1,5 +1,7 @@
 """Tests for the DeepBench suite and the DSE."""
 
+import tracemalloc
+
 import pytest
 
 from repro.dse import ParameterSpace, paper_params, search, tune
@@ -133,6 +135,18 @@ class TestSearch:
     def test_build_task_program_zero_weights(self):
         prog = build_task_program(task("lstm", 256), LoopParams(hu=2, ru=2, rv=64))
         assert prog.trace() is not None
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_timing_only_build_allocates_no_weights(self, kind):
+        # Zero weights are broadcast views and the builders bind them as
+        # views; padded storage would be 4 x 2048 x 4096 x 8 B = 268 MB.
+        tracemalloc.start()
+        try:
+            build_task_program(task(kind, 2048, 25), LoopParams(hu=9, ru=4, rv=64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPaperParams:

@@ -68,7 +68,7 @@ SPEEDUP_FLOOR = 10.0
 
 class _HeapPathNoneBatcher(NoneBatcher):
     """Batch-1 policy that *overrides* ``hold_until`` (returning ``now``
-    unchanged), which defeats the no-hold fast-path detection and forces
+    unchanged); not being the exact ``NoneBatcher`` type, it sends
     ``run_stream`` onto the general event loop.  Timeline-identical to
     ``"none"``; only the loop machinery differs, which is exactly what
     the baseline should measure."""

@@ -578,7 +578,7 @@ def _serve_stream_table(args: argparse.Namespace, t, names: list[str]) -> str:
     if args.replicas < 1:
         raise ServingError("--replicas must be >= 1")
     autoscaler = _parse_autoscale(args.autoscale) if args.autoscale else None
-    fault_kwargs = dict(
+    fault_options = dict(
         faults=args.faults,
         fault_seed=args.fault_seed,
         timeout_ms=args.timeout_ms,
@@ -626,7 +626,7 @@ def _serve_stream_table(args: argparse.Namespace, t, names: list[str]) -> str:
                 autoscaler=autoscaler,
                 mix=args.fleet_mix,
                 affinity_by=args.affinity_by,
-                **fault_kwargs,
+                **fault_options,
             )
         elif mixed:
             server = Fleet(
@@ -643,7 +643,7 @@ def _serve_stream_table(args: argparse.Namespace, t, names: list[str]) -> str:
                 autoscaler=autoscaler,
                 mode=args.mode,
                 presorted=presorted,
-                **fault_kwargs,
+                **fault_options,
             )
         elif args.replicas > 1 or autoscaler is not None:
             server = Fleet(name, replicas=args.replicas, policy=args.policy)
@@ -656,7 +656,7 @@ def _serve_stream_table(args: argparse.Namespace, t, names: list[str]) -> str:
                 autoscaler=autoscaler,
                 mode=args.mode,
                 presorted=presorted,
-                **fault_kwargs,
+                **fault_options,
             )
         else:
             report = ServingEngine(name).serve_stream(
@@ -667,7 +667,7 @@ def _serve_stream_table(args: argparse.Namespace, t, names: list[str]) -> str:
                 max_batch=args.max_batch,
                 mode=args.mode,
                 presorted=presorted,
-                **fault_kwargs,
+                **fault_options,
             )
         n_requests = report.n_requests
         row = [

@@ -30,9 +30,9 @@ way real accelerator deployments are:
   bit-identical to no injection at all.
 * :mod:`repro.serving.events` — the shared discrete-event loop behind
   every stream simulation: arrivals consumed incrementally (lazy
-  generators and traces never materialize), no-heap fast paths for the
-  hot single-replica configurations, and a ``presorted`` lazy
-  validator.
+  generators and traces never materialize), a no-heap fast path for the
+  paper's single-replica FIFO batch-1 scenario, and a ``presorted``
+  lazy validator.
 * :mod:`repro.serving.stats` — :class:`StreamSummary`, the one report
   type every ``serve_stream`` returns: exact streaming counters,
   quantiles (histogram-estimated in O(1)-memory ``mode="summary"``,

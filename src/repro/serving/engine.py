@@ -34,7 +34,7 @@ from typing import Callable, Iterable
 
 from repro.errors import ServingError
 from repro.serving.batching import Batcher, make_batcher
-from repro.serving.events import run_stream, single_replica_dispatch
+from repro.serving.events import run_stream
 from repro.serving.faults import FaultPolicy, make_fault_policy
 from repro.serving.platform import Platform, PreparedModel, get_platform
 from repro.serving.request import ServeRequest, ServeResponse
@@ -372,23 +372,6 @@ class ServingEngine:
                 f"unknown stream mode {mode!r}; expected 'full' or 'summary'"
             )
         policy = make_fault_policy(faults)
-        faultless = (
-            policy.name == "none"
-            and timeout_ms is None
-            and hedge_ms is None
-            and retries == 0  # so a timeout-less retries still validates
-        )
-        fault_kwargs = (
-            {}
-            if faultless
-            else {
-                "faults": policy,
-                "fault_seed": fault_seed,
-                "timeout_ms": timeout_ms,
-                "retries": retries,
-                "hedge_ms": hedge_ms,
-            }
-        )
         summary = StreamSummary(
             self.platform_name,
             slo_ms=slo_ms,
@@ -400,12 +383,15 @@ class ServingEngine:
             arrivals,
             engines=(self,),
             schedulers=(sched,),
-            dispatch=single_replica_dispatch,
             slo_ms=slo_ms,
             batchers=(batch_policy,),
             presorted=presorted,
             summary=summary if mode == "summary" else None,
-            **fault_kwargs,
+            faults=policy,
+            fault_seed=fault_seed,
+            timeout_ms=timeout_ms,
+            retries=retries,
+            hedge_ms=hedge_ms,
         )
         if mode == "full":
             summary.keep_responses(outcome.responses, outcome.assignments)

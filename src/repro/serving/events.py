@@ -43,17 +43,16 @@ million-request point — never holds the stream in memory:
 * with a :class:`~repro.serving.stats.StreamSummary` sink, responses
   are folded into O(1) online accumulators instead of being collected.
 
-Every stream with several replicas, a holding batcher, an autoscaler or
-any fault feature runs the one general loop.  Two specialized loops peel
-off the hot single-replica cases when faults, timeouts and hedges are
-all off: a single replica with a non-holding batcher needs no event heap
-at all (completions and arrivals merge in order), and the FIFO/unbatched
-configuration — the paper's serving scenario — additionally needs no
-scheduler queue, reducing each request to a handful of float ops.  Every
-path evaluates ``start = max(arrival, replica_free_at)`` with the same
-floats in the same order, so the FIFO timeline stays bit-for-bit
-identical to the pre-refactor sequential simulations (pinned by the
-golden parity tests).
+Every stream runs the one general loop except the paper's serving
+scenario: a single fault-free replica serving FIFO at batch 1 takes one
+fast path that needs no event heap and no scheduler queue, reducing each
+request to a handful of float ops.  Both loops evaluate
+``start = max(arrival, replica_free_at)`` with the same floats in the
+same order, so the FIFO timeline stays bit-for-bit identical to the
+pre-refactor sequential simulations (pinned by the golden parity tests).
+
+A dispatcher is consulted only when there is a choice to make: with one
+replica and no autoscaler every arrival goes to replica 0.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ __all__ = [
     "run_stream",
     "StreamOutcome",
     "StreamDispatcher",
-    "single_replica_dispatch",
 ]
 
 #: Event kinds; FREE sorts before ARRIVAL at equal timestamps so an
@@ -93,10 +91,6 @@ _FREE, _RECOVER, _ARRIVAL, _LAUNCH, _CRASH, _TIMEOUT, _HEDGE = range(7)
 
 _INF = float("inf")
 
-#: Legacy dispatcher: (seq, request, projected per-replica completion
-#: times of the *active* replicas) -> replica index.
-Dispatcher = Callable[[int, ServeRequest, Sequence[float]], int]
-
 #: Factory building the replica at one index slot:
 #: (index) -> (engine, scheduler, batcher).  The index lets a mixed
 #: fleet grow along its platform pattern and lets a crash recovery
@@ -107,15 +101,13 @@ ReplicaFactory = Callable[[int], "tuple[ServingEngine, Scheduler, Batcher]"]
 class StreamDispatcher:
     """Incremental dispatcher protocol for fleet-scale streams.
 
-    The legacy dispatcher contract hands every arrival a *snapshot* of
-    all active replicas' projected completion times — an O(replicas)
-    copy per request that turns least-loaded dispatch quadratic on big
-    fleets.  A :class:`StreamDispatcher` instead receives *deltas*: the
-    loop calls :meth:`assign` whenever one replica's projection changes
-    and :meth:`resize` whenever the autoscaler changes the active set,
-    so a policy can maintain its own O(log n) structure (see
-    ``Fleet``'s least-loaded heap).  Plain callables keep working
-    unchanged.
+    Rather than a snapshot of every replica's projected completion time
+    per arrival — an O(replicas) copy per request that turns
+    least-loaded dispatch quadratic on big fleets — a dispatcher
+    receives *deltas*: the loop calls :meth:`assign` whenever one
+    replica's projection changes and :meth:`resize` whenever the
+    autoscaler changes the active set, so a policy can maintain its own
+    O(log n) structure (see ``Fleet``'s least-loaded heap).
 
     Example::
 
@@ -146,15 +138,13 @@ class StreamDispatcher:
         """
 
 
-def single_replica_dispatch(
-    seq: int, request: ServeRequest, work_until: Sequence[float]
-) -> int:
-    """The engine's trivial one-replica dispatcher (always replica 0).
+class _SoleReplica(StreamDispatcher):
+    """What a one-replica stream without an autoscaler dispatches with:
+    every valid choice is replica 0, so the caller's dispatcher (if any)
+    is never consulted."""
 
-    Passing this exact function lets :func:`run_stream` skip per-arrival
-    dispatch bookkeeping entirely on the single-replica fast paths.
-    """
-    return 0
+    def choose(self, seq: int, request: ServeRequest) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -185,8 +175,7 @@ class StreamOutcome:
         >>> arrivals = uniform_arrivals(task("lstm", 512, 25),
         ...                             rate_per_s=100, n_requests=3)
         >>> out = run_stream(arrivals, engines=(engine,),
-        ...                  schedulers=(make_scheduler("fifo"),),
-        ...                  dispatch=lambda seq, req, work: 0)
+        ...                  schedulers=(make_scheduler("fifo"),))
         >>> (len(out.responses), out.assignments, out.n_replicas)
         (3, [0, 0, 0], 1)
     """
@@ -300,7 +289,7 @@ def run_stream(
     *,
     engines: Sequence["ServingEngine"],
     schedulers: Sequence[Scheduler],
-    dispatch: "Dispatcher | StreamDispatcher",
+    dispatch: StreamDispatcher | None = None,
     slo_ms: float | None = None,
     batchers: Sequence[Batcher] | None = None,
     autoscaler: Autoscaler | None = None,
@@ -321,10 +310,10 @@ def run_stream(
             ``presorted=True``).
         engines: One :class:`ServingEngine` per starting replica.
         schedulers: One scheduler per replica (same length as engines).
-        dispatch: Assigns each arrival to a replica — either a legacy
-            callable receiving the projected completion times of all
-            *active* replicas (the classic join-the-shortest-queue
-            signal), or an incremental :class:`StreamDispatcher`.
+        dispatch: The :class:`StreamDispatcher` assigning each arrival
+            to a replica.  Required with several replicas or an
+            autoscaler; a single replica without an autoscaler never
+            consults it (every arrival goes to replica 0).
         slo_ms: Stream-level SLO; per-request ``slo_ms`` overrides it
             when computing deadlines for deadline-aware schedulers and
             SLO-aware batching.
@@ -372,8 +361,7 @@ def run_stream(
         ...     uniform_arrivals(task("lstm", 512, 25),
         ...                      rate_per_s=200, n_requests=4),
         ...     engines=(ServingEngine("gpu"),),
-        ...     schedulers=(make_scheduler("fifo"),),
-        ...     dispatch=lambda seq, req, work: 0)
+        ...     schedulers=(make_scheduler("fifo"),))
         >>> [r.request.request_id for r in out.responses]
         [0, 1, 2, 3]
     """
@@ -402,32 +390,29 @@ def run_stream(
         raise ServingError("retries must be >= 0")
     if retries > 0 and timeout_ms is None:
         raise ServingError("retries need timeout_ms to be set")
+    sole = len(engine_list) == 1 and autoscaler is None
+    if sole:
+        dispatch = _SoleReplica()
+    elif dispatch is None:
+        raise ServingError(
+            "a stream over several replicas or with an autoscaler needs a "
+            "dispatcher"
+        )
 
     stream = normalize_arrivals(arrivals, presorted=presorted)
 
-    # A fault-free single replica whose batcher never holds (the base
-    # ``hold_until`` is un-overridden) needs no event heap: completions
-    # and arrivals merge in time order directly.  This covers the
-    # paper's serving scenario.  Every other stream — several replicas,
-    # a holding batcher, an autoscaler, a real fault policy, a timeout
-    # or a hedge — runs the general loop.
+    # The paper's serving scenario — one fault-free replica, FIFO, batch
+    # 1 — needs no event heap and no scheduler queue.  Every other
+    # stream runs the general loop.
     if (
-        (faults is None or faults.name == "none")
+        sole
+        and (faults is None or faults.name == "none")
         and timeout_ms is None
         and hedge_ms is None
-        and len(engine_list) == 1
-        and autoscaler is None
-        and type(batcher_list[0]).hold_until is Batcher.hold_until
+        and type(scheduler_list[0]) is FIFOScheduler
+        and type(batcher_list[0]) is NoneBatcher
     ):
-        scheduler = scheduler_list[0]
-        batcher = batcher_list[0]
-        if type(scheduler) is FIFOScheduler and type(batcher) is NoneBatcher:
-            return _run_fifo_unbatched(
-                stream, engine_list[0], dispatch, summary
-            )
-        return _run_single_replica(
-            stream, engine_list[0], scheduler, batcher, dispatch, slo_ms, summary
-        )
+        return _run_fifo_unbatched(stream, engine_list[0], summary)
 
     policy = faults if faults is not None else NoFaults()
     policy.reset(fault_seed)
@@ -449,26 +434,9 @@ def run_stream(
     )
 
 
-def _choose_single(
-    dispatch: "Dispatcher | StreamDispatcher",
-    seq: int,
-    req: ServeRequest,
-    work: list[float],
-) -> None:
-    """Run a custom dispatcher against the one-replica view (parity with
-    the general loop's contract, including its error)."""
-    if isinstance(dispatch, StreamDispatcher):
-        replica = dispatch.choose(seq, req)
-    else:
-        replica = dispatch(seq, req, work)
-    if replica != 0:
-        raise ServingError(f"dispatcher chose invalid replica {replica}")
-
-
 def _run_fifo_unbatched(
     stream: Iterable[ServeRequest],
     engine: "ServingEngine",
-    dispatch: "Dispatcher | StreamDispatcher",
     summary: "StreamSummary | None",
 ) -> StreamOutcome:
     """The hottest path: one replica, FIFO order, batch 1.
@@ -480,16 +448,11 @@ def _run_fifo_unbatched(
     parity holds bit for bit); with a summary sink it allocates nothing
     per request beyond the incoming request objects.
     """
-    trivial = dispatch is single_replica_dispatch
     collect = summary is None
     responses: list[ServeResponse] = []
     append = responses.append
     observe = None if collect else summary.observe_served
     result_for = engine.result_for
-    work = [0.0]
-    if isinstance(dispatch, StreamDispatcher):
-        dispatch.bind([engine])
-        dispatch.resize(1, work)
     free_at = 0.0
     n = 0
     last_task: RNNTask | None = None
@@ -502,11 +465,6 @@ def _run_fifo_unbatched(
         result = last_result
         latency = result.latency_s
         arrival = req.arrival_s
-        if not trivial:
-            # Same contract order as the general loop: the dispatcher
-            # sees the pre-assignment projection.
-            _choose_single(dispatch, n, req, work)
-            work[0] = (arrival if arrival > work[0] else work[0]) + latency
         start = arrival if arrival > free_at else free_at
         finish = start + latency
         free_at = finish
@@ -530,137 +488,6 @@ def _run_fifo_unbatched(
     return StreamOutcome(
         responses=responses,
         assignments=[0] * n if collect else [],
-    )
-
-
-def _run_single_replica(
-    stream: Iterable[ServeRequest],
-    engine: "ServingEngine",
-    scheduler: Scheduler,
-    batcher: Batcher,
-    dispatch: "Dispatcher | StreamDispatcher",
-    slo_ms: float | None,
-    summary: "StreamSummary | None",
-) -> StreamOutcome:
-    """One replica, any scheduler, any non-holding batcher: merge
-    completions and arrivals in time order without an event heap.
-
-    Invariant: whenever the replica is idle its ready queue is empty
-    (an arrival launches immediately when idle), so only completions
-    that precede the next arrival need replaying before it queues.
-    """
-    trivial = dispatch is single_replica_dispatch
-    collect = summary is None
-    responses: list[ServeResponse | None] = []
-    observe = None if collect else summary.observe_served
-    result_for = engine.result_for
-    none_batcher = type(batcher) is NoneBatcher
-    push = scheduler.push
-    pop = scheduler.pop
-    qlen = scheduler.__len__
-    work = [0.0]
-    if isinstance(dispatch, StreamDispatcher):
-        dispatch.bind([engine])
-        dispatch.resize(1, work)
-    free_at = 0.0
-    busy = False
-    seq = 0
-    last_task: RNNTask | None = None
-    last_result = None
-    stream_slo = slo_ms
-
-    def launch(now: float) -> None:
-        nonlocal free_at, busy
-        if none_batcher:
-            entries = [pop()]
-        else:
-            entries = batcher.take(scheduler, now)
-            if not entries:
-                raise ServingError(
-                    f"batcher {batcher.name!r} returned an empty batch"
-                )
-        head = entries[0]
-        arrival = head.request.arrival_s
-        start = arrival if arrival > now else now
-        if len(entries) == 1:
-            # The exact pre-batching arithmetic: parity for batcher="none".
-            finish = start + head.service_s
-            if collect:
-                responses[head.seq] = ServeResponse(
-                    request=head.request,
-                    result=head.result,
-                    queue_delay_s=start - arrival,
-                    start_s=start,
-                    finish_s=finish,
-                )
-            else:
-                observe(head.request, head.result, start, finish, 1)
-        else:
-            exec_task = _batch_exec_task(entries, batcher)
-            result = engine.serve_batched(exec_task, len(entries))
-            finish = start + result.latency_s
-            size = len(entries)
-            for index, entry in enumerate(entries):
-                if collect:
-                    responses[entry.seq] = ServeResponse(
-                        request=entry.request,
-                        result=result,
-                        queue_delay_s=start - entry.request.arrival_s,
-                        start_s=start,
-                        finish_s=finish,
-                        batch_size=size,
-                        batch_index=index,
-                    )
-                else:
-                    observe(entry.request, result, start, finish, size)
-        busy = True
-        free_at = finish
-
-    for req in stream:
-        t = req.arrival_s
-        # Completions that fire no later than this arrival (FREE sorts
-        # before ARRIVAL at equal stamps) launch first.
-        while busy and free_at <= t:
-            busy = False
-            if qlen():
-                launch(free_at)
-        task = req.task
-        if task is not last_task:
-            last_result = result_for(task)
-            last_task = task
-        result = last_result
-        if not trivial:
-            _choose_single(dispatch, seq, req, work)
-            work[0] = (t if t > work[0] else work[0]) + result.latency_s
-        slo = req.slo_ms
-        if slo is None:
-            slo = stream_slo
-        push(
-            QueuedRequest(
-                seq=seq,
-                request=req,
-                result=result,
-                service_s=result.latency_s,
-                deadline_s=_INF if slo is None else t + slo / 1e3,
-            )
-        )
-        if collect:
-            responses.append(None)
-        seq += 1
-        if not busy:
-            launch(t)
-    if seq == 0:
-        raise ServingError("serve_stream needs at least one request")
-    # Drain: replay the remaining FREE chain.
-    while busy:
-        busy = False
-        if qlen():
-            launch(free_at)
-    if not collect:
-        summary.note_assignment(0, seq)
-    return StreamOutcome(
-        responses=responses,  # type: ignore[arg-type]
-        assignments=[0] * seq if collect else [],
     )
 
 
@@ -739,7 +566,7 @@ def _run_general(
     scheduler_list: "list[Scheduler]",
     batcher_list: "list[Batcher]",
     bind_cost: Callable[[int], None],
-    dispatch: "Dispatcher | StreamDispatcher",
+    dispatch: StreamDispatcher,
     slo_ms: float | None,
     autoscaler: Autoscaler | None,
     replica_factory: ReplicaFactory | None,
@@ -749,10 +576,11 @@ def _run_general(
     retries: int,
     hedge_ms: float | None,
 ) -> StreamOutcome:
-    """The general loop: N replicas, holding batchers, autoscaling, and
-    unreliable hardware (crashes, stragglers, preemption, timeouts,
-    hedges).  With :class:`~repro.serving.faults.NoFaults` and no
-    timeout/hedge only FREE and LAUNCH events ever enter the heap.
+    """The general loop: N replicas, any scheduler, any batcher,
+    autoscaling, and unreliable hardware (crashes, stragglers,
+    preemption, timeouts, hedges).  With
+    :class:`~repro.serving.faults.NoFaults` and no timeout/hedge only
+    FREE and LAUNCH events ever enter the heap.
 
     Arrivals are peeked one at a time from the (possibly lazy) sorted
     stream, so the heap never holds the stream itself.  On top of plain
@@ -777,9 +605,8 @@ def _run_general(
     runs and shard layouts.
     """
     collect = summary is None
-    rich = isinstance(dispatch, StreamDispatcher)
-    choose = dispatch.choose if rich else None
-    assign = dispatch.assign if rich else None
+    choose = dispatch.choose
+    assign = dispatch.assign
     responses: list[ServeResponse | None] = []
     assignments: list[int] = []
     observe = None if collect else summary.observe_served
@@ -802,9 +629,8 @@ def _run_general(
     scale_events: list[ScaleEvent] = []
     if autoscaler is not None:
         autoscaler.reset()
-    if rich:
-        dispatch.bind(engine_list)
-        dispatch.resize(active, work_until)
+    dispatch.bind(engine_list)
+    dispatch.resize(active, work_until)
 
     timeout_s = None if timeout_ms is None else timeout_ms / 1e3
     hedge_s = None if hedge_ms is None else hedge_ms / 1e3
@@ -888,8 +714,7 @@ def _run_general(
                 reason=decision.reason,
             )
         )
-        if rich:
-            dispatch.resize(active, work_until)
+        dispatch.resize(active, work_until)
 
     def respond(
         flight: _Flight,
@@ -919,14 +744,7 @@ def _run_general(
         """Dispatch one copy of ``req``: pick its replica and book its
         (straggler-inflated) service time on that replica's projection."""
         nonlocal dseq
-        if rich:
-            replica = choose(dseq, req)
-        else:
-            replica = dispatch(
-                dseq,
-                req,
-                work_until if active == len(work_until) else work_until[:active],
-            )
+        replica = choose(dseq, req)
         dseq += 1
         if not 0 <= replica < active:
             raise ServingError(f"dispatcher chose invalid replica {replica}")
@@ -935,8 +753,7 @@ def _run_general(
         free_at = work_until[replica]
         free_at = (now if now > free_at else free_at) + service_s
         work_until[replica] = free_at
-        if rich:
-            assign(replica, free_at)
+        assign(replica, free_at)
         return replica, result, service_s
 
     def push_copy(flight: _Flight, now: float, hedge: bool) -> int:
@@ -1155,8 +972,7 @@ def _run_general(
                 bind_cost(replica)
             schedule_crash(replica, now)
             work_until[replica] = max(work_until[replica], now)
-            if rich:
-                dispatch.assign(replica, work_until[replica])
+            assign(replica, work_until[replica])
             if len(scheduler_list[replica]):
                 launch(replica, now)
 
@@ -1181,8 +997,7 @@ def _run_general(
                 abort_execution(replica)
             recover_at = now + payload
             work_until[replica] = max(work_until[replica], recover_at)
-            if rich:
-                dispatch.assign(replica, work_until[replica])
+            assign(replica, work_until[replica])
             heappush(events, (recover_at, _RECOVER, replica, payload))
 
         elif kind == _TIMEOUT:

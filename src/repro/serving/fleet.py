@@ -537,23 +537,6 @@ class Fleet:
                 f"unknown stream mode {mode!r}; expected 'full' or 'summary'"
             )
         fault_policy = make_fault_policy(faults)
-        faultless = (
-            fault_policy.name == "none"
-            and timeout_ms is None
-            and hedge_ms is None
-            and retries == 0  # so a timeout-less retries still validates
-        )
-        fault_kwargs = (
-            {}
-            if faultless
-            else {
-                "faults": fault_policy,
-                "fault_seed": fault_seed,
-                "timeout_ms": timeout_ms,
-                "retries": retries,
-                "hedge_ms": hedge_ms,
-            }
-        )
         if summary is not None and mode != "summary":
             raise ServingError(
                 "a summary sink only makes sense with mode='summary'"
@@ -577,7 +560,11 @@ class Fleet:
             replica_factory=replica_factory,
             presorted=presorted,
             summary=summary if mode == "summary" else None,
-            **fault_kwargs,
+            faults=fault_policy,
+            fault_seed=fault_seed,
+            timeout_ms=timeout_ms,
+            retries=retries,
+            hedge_ms=hedge_ms,
         )
         if mode == "full":
             summary.keep_responses(outcome.responses, outcome.assignments)

@@ -21,6 +21,8 @@ from repro.workloads.deepbench import RNNTask
 
 __all__ = ["ServeRequest", "ServeResponse"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True, slots=True)
 class ServeRequest:
@@ -60,10 +62,17 @@ class ServeRequest:
     slo_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ServingError("arrival_s must be >= 0")
-        if self.slo_ms is not None and self.slo_ms <= 0:
-            raise ServingError("slo_ms must be positive when set")
+        # Chained comparisons are False for NaN, so these also reject a
+        # NaN or infinity read from a trace (``json.loads`` accepts both).
+        if not 0 <= self.arrival_s < _INF:
+            raise ServingError(
+                f"arrival_s must be finite and >= 0, got {self.arrival_s}"
+            )
+        slo = self.slo_ms
+        if slo is not None and not 0 < slo < _INF:
+            raise ServingError(
+                f"slo_ms must be positive and finite when set, got {slo}"
+            )
 
     def effective_slo_ms(self, default_slo_ms: float | None = None) -> float | None:
         """The request's own SLO, falling back to the stream-level one."""

@@ -73,7 +73,7 @@ class FaultStats:
 
     Produced by the general event loop (see
     :mod:`repro.serving.faults`) and attached to every
-    ``StreamSummary``.  A faultless run carries the all-zero record,
+    ``StreamSummary``.  A fault-free run carries the all-zero record,
     which is also the identity for :meth:`merge` — the reason this lives
     next to :class:`ServingResult` rather than in the stats module is
     that the event loop, the reports, and the parallel shard merge all

@@ -121,7 +121,7 @@ class _ClassAcc:
     ``(task, tenant, priority, request-level slo, outcome)``.
     Everything the summary (or any of its tenant/priority/length-band/
     outcome rollups) exposes is derived by merging these.  ``outcome``
-    is ``"ok"`` everywhere outside fault-injected runs, so faultless
+    is ``"ok"`` everywhere outside fault-injected runs, so fault-free
     grouping is unchanged.
     """
 
@@ -527,9 +527,8 @@ class StreamSummary:
     def note_assignment(self, replica: int, count: int = 1) -> None:
         """Count ``count`` requests dispatched to ``replica``.
 
-        The general event loop calls this per arrival; the
-        single-replica fast paths call it once at the end with the
-        stream total.
+        The general event loop calls this per arrival; the FIFO fast
+        path calls it once at the end with the stream total.
         """
         counts = self._replica_counts
         if replica >= len(counts):

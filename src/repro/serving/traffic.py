@@ -742,14 +742,14 @@ object, got list
         raise ServingError(
             f"bad {where}: expected a JSON object, got {type(rec).__name__}"
         )
+    if rec.get("batch", 1) != 1:
+        # v1 recorded the (removed, always-1) RNNTask.batch field.
+        raise ServingError(
+            f"{where} carries batch={rec['batch']}; per-request "
+            f"batch sizes were never supported — batching is a "
+            f"serving policy, not a task attribute"
+        )
     try:
-        if rec.get("batch", 1) != 1:
-            # v1 recorded the (removed, always-1) RNNTask.batch field.
-            raise ServingError(
-                f"{where} carries batch={rec['batch']}; per-request "
-                f"batch sizes were never supported — batching is a "
-                f"serving policy, not a task attribute"
-            )
         return ServeRequest(
             task=RNNTask(
                 rec["kind"],
@@ -765,12 +765,11 @@ object, got list
             priority=rec.get("priority", 0),
             slo_ms=rec.get("slo_ms"),
         )
-    except ServingError:
-        raise
-    except (KeyError, TypeError, ValueError, WorkloadError) as exc:
+    except (KeyError, TypeError, ValueError, WorkloadError, ServingError) as exc:
         # WorkloadError: RNNTask validation (unknown kind, bad sizes)
         # must not escape as a non-serving exception past a handler
-        # that promised ServingError for malformed records.
+        # that promised ServingError for malformed records; request
+        # validation errors gain the record's source the same way.
         raise ServingError(f"bad {where}: {exc}") from exc
 
 

@@ -11,6 +11,7 @@ from repro.serving import (
     uniform_arrivals,
 )
 from repro.serving.events import run_stream
+from repro.serving.fleet import _RoundRobinDispatcher
 from repro.serving.scheduler import make_scheduler
 from repro.workloads.deepbench import task
 
@@ -203,7 +204,7 @@ class TestFleetIntegration:
                 self._bursty(n=200),
                 engines=(engine,),
                 schedulers=(make_scheduler("fifo"),),
-                dispatch=lambda seq, req, work: seq % len(work),
+                dispatch=_RoundRobinDispatcher(),
                 slo_ms=5.0,
                 autoscaler=Autoscaler(min_replicas=1, max_replicas=4),
             )

@@ -6,6 +6,8 @@ from repro.errors import ServingError
 from repro.serving import (
     Fleet,
     ServingEngine,
+    get_fault_policy,
+    mix,
     poisson_arrivals,
     uniform_arrivals,
 )
@@ -35,14 +37,43 @@ class TestConstruction:
 
 
 class TestSingleReplica:
-    def test_matches_engine_stream(self):
-        arrivals = poisson_arrivals(T, rate_per_s=1000.0, n_requests=200, seed=3)
-        engine_report = ServingEngine("gpu").serve_stream(arrivals, slo_ms=5.0)
-        fleet_report = Fleet("gpu", replicas=1).serve_stream(arrivals, slo_ms=5.0)
-        assert fleet_report.p50_ms == engine_report.p50_ms
-        assert fleet_report.p99_ms == engine_report.p99_ms
-        for e, f in zip(engine_report.responses, fleet_report.responses):
-            assert e.sojourn_s == f.sojourn_s
+    """A one-replica fleet consults no dispatcher: whatever its policy,
+    it runs the engine's loop and reproduces the engine's stream."""
+
+    @pytest.mark.parametrize("mode", ["full", "summary"])
+    @pytest.mark.parametrize("policy", ["round-robin", "least-loaded", "affinity"])
+    @pytest.mark.parametrize("scheduler,batcher,faults", [
+        ("fifo", "none", "none"),
+        ("edf", "size-cap", "none"),
+        ("fifo", "none", "crash"),
+    ])
+    def test_matches_engine_stream(self, scheduler, batcher, faults, policy, mode):
+        arrivals = mix(
+            poisson_arrivals(T, rate_per_s=700.0, n_requests=240, seed=3,
+                             tenant="tight", slo_ms=2.0),
+            poisson_arrivals(T, rate_per_s=500.0, n_requests=160, seed=4,
+                             tenant="loose", slo_ms=20.0),
+        )
+        kwargs = dict(slo_ms=5.0, scheduler=scheduler, batcher=batcher,
+                      mode=mode)
+        if faults == "crash":
+            kwargs["faults"] = lambda: get_fault_policy(
+                "crash", mtbf_s=0.05, mttr_s=0.01
+            )
+        engine_report = ServingEngine("gpu").serve_stream(arrivals, **kwargs)
+        fleet_report = Fleet("gpu", replicas=1, policy=policy).serve_stream(
+            arrivals, **kwargs
+        )
+        assert fleet_report.responses == engine_report.responses
+        assert fleet_report.fault_stats == engine_report.fault_stats
+        assert fleet_report.per_replica_counts == (400,)
+        for figure in ("p50_ms", "p99_ms", "mean_ms", "mean_queue_delay_ms",
+                       "slo_miss_rate", "mean_batch_size"):
+            assert getattr(fleet_report, figure) == getattr(engine_report, figure)
+        if faults == "crash":
+            assert engine_report.fault_stats.crashes > 0
+        if mode == "full":
+            assert len(fleet_report.responses) == 400
 
 
 class TestRoundRobin:

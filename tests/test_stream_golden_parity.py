@@ -12,7 +12,14 @@ import dataclasses
 
 import pytest
 
-from repro.serving import Fleet, FixedLength, ServingEngine, poisson_arrivals
+from repro.serving import (
+    Fleet,
+    FixedLength,
+    ServingEngine,
+    ZipfLength,
+    mix,
+    poisson_arrivals,
+)
 from repro.workloads.deepbench import task
 
 T = task("lstm", 512, 25)
@@ -73,6 +80,88 @@ _FLEET_GOLDEN = {
 }
 
 
+GRU = task("gru", 512, 25)
+
+#: (platform, scheduler, batcher) -> mode ->
+#:   (p50, p99, mean, mean_queue_delay, miss, mean_batch_size)
+#: Single-replica streams off the FIFO fast path, recorded from the
+#: dedicated no-heap single-replica loop before the general loop took
+#: them over; summary-mode quantiles are the histogram estimates.
+_SINGLE_REPLICA_GOLDEN = {
+    ("gpu", "edf", "none"): {
+        "full": (
+            1.4709798848236422,
+            19.221471156847354,
+            3.32110006349141,
+            2.582738181138472,
+            0.05,
+            1.0,
+        ),
+        "summary": (
+            1.4748572927641246,
+            19.370839266804214,
+            3.3211000634914125,
+            2.582738181138472,
+            0.05,
+            1.0,
+        ),
+    },
+    ("gpu", "sjf", "none"): {
+        "full": (
+            1.0666959457272251,
+            15.615727992250996,
+            1.9197859604376184,
+            1.2415374045035015,
+            0.068,
+            1.0,
+        ),
+        "summary": (
+            1.063071560563333,
+            15.541193758265598,
+            1.9197859604376188,
+            1.241537404503502,
+            0.068,
+            1.0,
+        ),
+    },
+    ("brainwave", "fifo", "bucket"): {
+        "full": (
+            0.11934472755274414,
+            0.4867982149641475,
+            0.1546317484149268,
+            0.08120582841492686,
+            0.325,
+            1.69,
+        ),
+        "summary": (
+            0.119708503049573,
+            0.4848260397372396,
+            0.15463174841492686,
+            0.08120582841492686,
+            0.325,
+            1.69,
+        ),
+    },
+}
+
+
+def _single_replica_stream(scheduler: str):
+    """EDF gets two tenants with different SLOs, SJF and bucket batching
+    get Zipf lengths, so none of them degenerates to FIFO batch 1."""
+    if scheduler == "edf":
+        return mix(
+            poisson_arrivals(T, rate_per_s=700.0, n_requests=300, seed=42,
+                             tenant="tight", slo_ms=3.0),
+            poisson_arrivals(T, rate_per_s=500.0, n_requests=200, seed=43,
+                             tenant="loose", slo_ms=20.0),
+        )
+    if scheduler == "sjf":
+        return poisson_arrivals(T, rate_per_s=1200.0, n_requests=500, seed=42,
+                                lengths=ZipfLength(10, 80))
+    return poisson_arrivals(GRU, rate_per_s=15000.0, n_requests=400, seed=3,
+                            lengths=ZipfLength(10, 80))
+
+
 class TestEngineGolden:
     @pytest.mark.parametrize("key", sorted(_ENGINE_GOLDEN), ids=lambda k: k[0])
     def test_fifo_stream_is_bit_identical(self, key):
@@ -92,6 +181,30 @@ class TestEngineGolden:
         report = ServingEngine("gpu").serve_stream(arrivals, slo_ms=5.0)
         ids = [r.request.request_id for r in report.responses]
         assert ids == sorted(ids)
+
+
+class TestSingleReplicaGolden:
+    @pytest.mark.parametrize("mode", ["full", "summary"])
+    @pytest.mark.parametrize(
+        "key", sorted(_SINGLE_REPLICA_GOLDEN), ids=lambda k: "-".join(k)
+    )
+    def test_stream_is_bit_identical(self, key, mode):
+        platform, scheduler, batcher = key
+        p50, p99, mean, queue, miss, batch = _SINGLE_REPLICA_GOLDEN[key][mode]
+        report = ServingEngine(platform).serve_stream(
+            _single_replica_stream(scheduler),
+            slo_ms=0.2 if batcher == "bucket" else 5.0,
+            scheduler=scheduler,
+            batcher=batcher,
+            max_batch=8 if batcher == "bucket" else None,
+            mode=mode,
+        )
+        assert report.p50_ms == p50
+        assert report.p99_ms == p99
+        assert report.mean_ms == mean
+        assert report.mean_queue_delay_ms == queue
+        assert report.slo_miss_rate == miss
+        assert report.mean_batch_size == batch
 
 
 class TestFleetGolden:

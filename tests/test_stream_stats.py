@@ -18,6 +18,7 @@ forms), streaming trace replay, and the incremental least-loaded
 dispatcher's exact parity with the naive O(replicas) scan.
 """
 
+import json
 import math
 import random
 
@@ -29,6 +30,7 @@ from repro.serving import (
     Fleet,
     ServeRequest,
     ServingEngine,
+    StreamDispatcher,
     StreamSummary,
     UniformLength,
     ZipfLength,
@@ -41,6 +43,7 @@ from repro.serving import (
     poisson_arrivals,
     record_trace,
     replay_trace,
+    request_to_json,
     run_stream,
     uniform_arrivals,
 )
@@ -363,7 +366,8 @@ class TestFleetSummary:
         _assert_mirrors(report, summary)
 
     def test_single_replica_fast_paths_count_assignments(self):
-        # The no-heap fast paths must still feed per-replica counts.
+        # Both the no-heap fast path (fifo) and the general loop (edf)
+        # must feed per-replica counts.
         arrivals = poisson_arrivals(T, rate_per_s=900, n_requests=50, seed=2)
         for scheduler in ("fifo", "edf"):
             summary = Fleet("gpu", replicas=1).serve_stream(
@@ -469,6 +473,17 @@ class TestPresortedValidation:
         ]
         with pytest.raises(ServingError, match="strictly increasing"):
             list(normalize_arrivals(reqs, presorted=True))
+
+    def test_nan_arrival_cannot_mask_an_out_of_order_pair(self):
+        # NaN compares False both ways, so it would hide the 0.001 ->
+        # 0.0005 inversion from the lazy order check.
+        def stream():
+            yield ServeRequest(task=T, arrival_s=0.001, request_id=0)
+            yield ServeRequest(task=T, arrival_s=math.nan, request_id=1)
+            yield ServeRequest(task=T, arrival_s=0.0005, request_id=2)
+
+        with pytest.raises(ServingError, match="arrival_s must be finite"):
+            ServingEngine("gpu").serve_stream(stream(), presorted=True)
 
     def test_empty_presorted_stream_rejected_by_loop(self):
         with pytest.raises(ServingError, match="at least one request"):
@@ -597,6 +612,25 @@ class TestStreamingTraces:
         assert replay_trace(path) == reqs  # still the original, whole
         assert not (tmp_path / "keep.jsonl.partial").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("arrival_s", math.nan),
+        ("arrival_s", math.inf),
+        ("slo_ms", math.nan),
+        ("slo_ms", math.inf),
+    ])
+    def test_non_finite_trace_fields_rejected(self, tmp_path, field, value):
+        path = record_trace(
+            uniform_arrivals(T, rate_per_s=10, n_requests=2), tmp_path / "t.jsonl"
+        )
+        rec = request_to_json(ServeRequest(task=T, arrival_s=0.3, request_id=2))
+        rec[field] = value
+        line = json.dumps(rec)  # writes the bare NaN/Infinity tokens
+        assert "NaN" in line or "Infinity" in line
+        with path.open("a") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(ServingError, match=f"line 3 .*: {field} must be"):
+            list(iter_trace(path))
+
     def test_iter_trace_missing_file(self):
         with pytest.raises(ServingError, match="not found"):
             iter_trace("no/such/trace.jsonl")
@@ -616,6 +650,25 @@ class TestStreamingTraces:
         _assert_mirrors(report, summary)
 
 
+class _NaiveLeastLoaded(StreamDispatcher):
+    """Reference least-loaded policy: its own projection list, kept from
+    ``resize``/``assign``, and an O(replicas) scan per arrival."""
+
+    def __init__(self) -> None:
+        self.active = 0
+        self.work: list[float] = []
+
+    def resize(self, active, work_until):
+        self.active = active
+        self.work = list(work_until)
+
+    def assign(self, replica, work_until_s):
+        self.work[replica] = work_until_s
+
+    def choose(self, seq, request):
+        return min(range(self.active), key=lambda j: (self.work[j], j))
+
+
 class TestLeastLoadedDispatcherParity:
     """The incremental heap dispatcher must pick the exact replica the
     naive O(replicas) scan picked, on every arrival."""
@@ -628,21 +681,23 @@ class TestLeastLoadedDispatcherParity:
         )
         fleet = Fleet("gpu", replicas=replicas, policy="least-loaded")
         report = fleet.serve_stream(arrivals, slo_ms=5.0)
-
-        def naive(seq, req, work_until):
-            return min(
-                range(len(work_until)), key=lambda j: (work_until[j], j)
-            )
-
         reference = run_stream(
             arrivals,
             engines=[ServingEngine("gpu") for _ in range(replicas)],
             schedulers=[make_scheduler("fifo") for _ in range(replicas)],
-            dispatch=naive,
+            dispatch=_NaiveLeastLoaded(),
             slo_ms=5.0,
         )
         assert list(report.assignments) == reference.assignments
         assert list(report.responses) == reference.responses
+
+    def test_several_replicas_need_a_dispatcher(self):
+        with pytest.raises(ServingError, match="needs a dispatcher"):
+            run_stream(
+                uniform_arrivals(T, rate_per_s=100, n_requests=3),
+                engines=[ServingEngine("gpu") for _ in range(2)],
+                schedulers=[make_scheduler("fifo") for _ in range(2)],
+            )
 
 
 class _HeapForcedNone(NoneBatcher):
@@ -653,8 +708,10 @@ class _HeapForcedNone(NoneBatcher):
 
 
 class TestFastPathParity:
-    """The specialized single-replica loops must be bit-identical to the
-    general event loop on the same stream."""
+    """A single replica's timeline must not depend on which loop runs:
+    every scheduler/batcher pair matches the general loop forced by a
+    ``hold_until`` override, bit for bit (the FIFO batch-1 case checks
+    the fast path against it)."""
 
     @pytest.mark.parametrize("scheduler", ["fifo", "edf", "sjf"])
     @pytest.mark.parametrize("rate", [900.0, 6000.0])

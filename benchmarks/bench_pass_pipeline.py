@@ -12,7 +12,8 @@ the three contracts of that refactor:
   correctness contract, not a performance number.
 * **Overhead ceiling** — mapping through the pipeline (IR verifier on,
   per-pass timing on) must cost at most 1.5x the monolith's wall-clock
-  mapping time.  Passes are bookkeeping, not recomputation.
+  mapping time (median of interleaved per-pair ratios).  Passes are
+  bookkeeping, not recomputation.
 * **Optimization payoff** — ``double_buffer`` must show a measured
   steps-loop cycle reduction on the LSTM-1152 design (writeback
   overlapped with the next step's load), and ``fuse_gates`` must save
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -96,27 +98,42 @@ def _parity() -> dict:
             "identical": all(c["identical"] for c in cases)}
 
 
-def _overhead(reps: int) -> dict:
-    """Wall-clock mapping time: monolith vs the default pipeline."""
+def _overhead(pairs: int) -> dict:
+    """Wall-clock mapping time: monolith vs the default pipeline.
+
+    Each pair times one call of every mapper back to back, alternating
+    which goes first, and the ratio is the median of the per-pair ratios:
+    a burst of load from a neighbouring process on a shared host hits
+    both sides of a pair alike, instead of whichever side it lands on.
+    """
     prog = build_task_program(PAYOFF_TASK, PAYOFF_PARAMS)
     prog.trace()  # warm the shared trace cache out of the timed region
-    timed = {}
-    for name, fn in (
-        ("monolith", lambda: _map_rnn_monolith(prog)),
-        ("pipeline", lambda: map_rnn_program(prog)),
-        ("pipeline_no_verify", lambda: map_rnn_program(prog, verify=False)),
-    ):
+    mappers = {
+        "monolith": lambda: _map_rnn_monolith(prog),
+        "pipeline": lambda: map_rnn_program(prog),
+        "pipeline_no_verify": lambda: map_rnn_program(prog, verify=False),
+    }
+    for fn in mappers.values():
         fn()  # warm-up
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        timed[name] = (time.perf_counter() - t0) / reps
+    samples: dict[str, list[float]] = {name: [] for name in mappers}
+    for i in range(pairs):
+        order = list(mappers) if i % 2 == 0 else list(reversed(mappers))
+        for name in order:
+            t0 = time.perf_counter()
+            mappers[name]()
+            samples[name].append(time.perf_counter() - t0)
+
+    def ratio(name: str) -> float:
+        return statistics.median(
+            a / b for a, b in zip(samples[name], samples["monolith"])
+        )
+
     design = map_rnn_program(prog)
     return {
-        "reps": reps,
-        "mapping_ms": {k: v * 1e3 for k, v in timed.items()},
-        "ratio": timed["pipeline"] / timed["monolith"],
-        "ratio_no_verify": timed["pipeline_no_verify"] / timed["monolith"],
+        "pairs": pairs,
+        "mapping_ms": {k: statistics.median(v) * 1e3 for k, v in samples.items()},
+        "ratio": ratio("pipeline"),
+        "ratio_no_verify": ratio("pipeline_no_verify"),
         "pass_timings_ms": {
             t.name: t.seconds * 1e3 for t in design.pass_timings
         },
@@ -161,7 +178,7 @@ def run(quick: bool = False) -> dict:
     return {
         "quick": quick,
         "parity": _parity(),
-        "overhead": _overhead(10 if quick else 40),
+        "overhead": _overhead(20 if quick else 60),
         "payoff": _payoff(),
         "ceilings": {"overhead": OVERHEAD_CEILING},
     }
@@ -249,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="fewer timing reps (the CI perf-smoke configuration)",
+        help="fewer timing pairs (the CI perf-smoke configuration)",
     )
     parser.add_argument(
         "--parity",

@@ -6,9 +6,11 @@ in no bytes, and mapping and cycle simulation never read a value.  On
 top of that, the sweep is memoized, hoisted, and parallel through the
 shared DSE runner (:mod:`repro.dse.runner`):
 
-* the task *program* is built once per :class:`LoopParams` and reused
-  across the pass-config axis (pass configs only affect mapping, not
-  the program, and the reuse keeps the program's trace cache warm);
+* the task *program* is built, and the config-independent prefix of
+  its lowering (``PassManager.prefix``) run, once per
+  :class:`LoopParams`; each pass config runs only its tail, on a
+  ``MappingState.fork()`` of that prefix (the last config on the
+  prefix itself);
 * every mapped-and-simulated point lands in a per-process LRU
   (:class:`~repro.dse.runner.EvalMemo`) keyed by ``(task family,
   params, bits, chip, pass_config)`` — the result scales exactly with
@@ -29,7 +31,7 @@ from repro.errors import DSEError
 from repro.dse.runner import DSEStats, EvalMemo, run_jobs
 from repro.dse.space import ParameterSpace
 from repro.mapping.mapper import MappedDesign, map_rnn_program
-from repro.mapping.passes import PassConfig
+from repro.mapping.passes import MappingState, PassConfig, PassManager
 from repro.plasticine.chip import PlasticineConfig
 from repro.plasticine.simulator import simulate_pipeline
 from repro.rnn.gru_loop import build_gru_program
@@ -149,11 +151,16 @@ def _point_from_record(
 
 
 def _evaluate_program(
-    prog, chip: PlasticineConfig, bits: int, pass_config: PassConfig | None
+    prog,
+    chip: PlasticineConfig,
+    bits: int,
+    pass_config: PassConfig | None,
+    prefix: MappingState | None = None,
 ) -> _MemoRecord:
-    """Map and simulate one built program: the uncached inner kernel."""
+    """Map and simulate one built program: the uncached inner kernel
+    (``prefix``: a prefix-lowered state to run the config's tail on)."""
     design: MappedDesign = map_rnn_program(
-        prog, chip, bits=bits, pass_config=pass_config
+        prog, chip, bits=bits, pass_config=pass_config, prefix=prefix
     )
     sim = simulate_pipeline(design.graph)
     res = design.resources
@@ -213,22 +220,33 @@ class _SearchJob:
 def _evaluate_params(job: _SearchJob) -> tuple[list[SearchPoint], int, int]:
     """Worker entry: evaluate every pass config of one parameter point.
 
-    Builds the task program at most once (lazily — an all-memo-hit
-    point builds nothing) and returns ``(points, program_builds,
+    Builds the task program and lowers its config-independent prefix
+    (``PassManager.prefix``) at most once, lazily on the first memo
+    miss (an all-memo-hit point builds nothing).  Each missed config
+    runs only its tail, on a fork of the prefix; the last config runs
+    on the prefix itself.  Returns ``(points, program_builds,
     memo_hits)`` in the space's pass-config order.
     """
-    program = None
+    program = prefix = None
     points: list[SearchPoint] = []
     builds = hits = 0
-    for pass_config in job.pass_configs:
+    last = len(job.pass_configs) - 1
+    for i, pass_config in enumerate(job.pass_configs):
         key = _memo_key(job.task, job.params, job.chip, job.bits, pass_config)
         record = _MEMO.get(key)
         if record is None:
             if program is None:
                 program = build_task_program(job.task, job.params)
                 builds += 1
+                prefix = PassManager.prefix().run_program(
+                    program, job.chip, bits=job.bits
+                )
             record = _evaluate_program(
-                program, job.chip, job.bits, pass_config
+                program,
+                job.chip,
+                job.bits,
+                pass_config,
+                prefix=prefix if i == last else prefix.fork(),
             )
             _MEMO.put(key, record)
         else:

@@ -130,17 +130,19 @@ class _Placer:
         return (self.chip.layout.rows - 1, self.chip.layout.cols - 1)
 
     def _take(self, pool: list[Coord], k: int, near: Coord) -> tuple[list[Coord], int]:
+        # Stable sort by Manhattan distance to ``near`` (ties keep pool
+        # order); the closure inlines ``GridLayout.manhattan``.
+        r, c = near
+        pool.sort(key=lambda p: abs(p[0] - r) + abs(p[1] - c))
         if k > len(pool):
             # Out of physical units: synthesize overflow coordinates at the
             # grid edge so timing stays defined; the resource report flags
             # the overflow.
-            pool_sorted = sorted(pool, key=lambda p: self.chip.layout.manhattan(near, p))
-            taken = list(pool_sorted)
+            taken = list(pool)
             del pool[:]
             overflow = k - len(taken)
             taken.extend([self.edge_coord] * overflow)
             return taken, overflow
-        pool.sort(key=lambda p: self.chip.layout.manhattan(near, p))
         taken = pool[:k]
         del pool[:k]
         return taken, 0
@@ -263,13 +265,16 @@ def map_rnn_program(
     pass_config=None,
     passes=None,
     verify: bool = True,
+    prefix=None,
 ) -> MappedDesign:
     """Lower a loop-based RNN program onto a Plasticine configuration.
 
-    Runs the compiler pass pipeline (:mod:`repro.mapping.passes`); the
-    default pipeline is proven bit-identical to the original monolithic
-    lowering (kept as :func:`_map_rnn_monolith`) by the differential
-    parity suite.
+    Runs the compiler pass pipeline (:mod:`repro.mapping.passes`): the
+    config-independent prefix (``PassManager.prefix``), then
+    ``pass_config``'s tail (``PassManager.tail``) on the same state.
+    The default pipeline is proven bit-identical to the original
+    monolithic lowering (kept as :func:`_map_rnn_monolith`) by the
+    differential parity suite.
 
     Args:
         prog: A program built by :func:`repro.rnn.build_lstm_program` or
@@ -286,6 +291,11 @@ def map_rnn_program(
             pipeline entirely; ``pass_config`` is ignored when given.
         verify: Run the IR verifier after every pass (cheap; on by
             default).
+        prefix: A :class:`~repro.mapping.passes.MappingState` of ``prog``
+            that has already run the prefix; only the tail runs, on it
+            and in place.  To lower several configs from one prefix,
+            hand each a ``prefix.fork()`` (the last may take the prefix
+            itself).  Cannot be combined with ``passes``.
 
     Returns:
         A :class:`MappedDesign` with the placed pipeline graph.
@@ -293,13 +303,26 @@ def map_rnn_program(
     from repro.mapping.passes import PassManager
 
     if passes is not None:
+        if prefix is not None:
+            raise MappingError("prefix= runs the default tail; drop passes=")
         manager = PassManager(list(passes), verify=verify)
-    else:
-        manager = PassManager.default(pass_config, verify=verify)
-    state = manager.run_program(
-        prog, chip=chip, bits=bits, seq_sync_cycles=seq_sync_cycles
-    )
-    return state.design
+        return manager.run_program(
+            prog, chip=chip, bits=bits, seq_sync_cycles=seq_sync_cycles
+        ).design
+    if prefix is None:
+        prefix = PassManager.prefix(verify=verify).run_program(
+            prog, chip=chip, bits=bits, seq_sync_cycles=seq_sync_cycles
+        )
+    elif (
+        prefix.prog is not prog
+        or (chip is not None and prefix.chip != chip)
+        or (prefix.bits, prefix.seq_sync_cycles) != (bits, seq_sync_cycles)
+    ):
+        raise MappingError(
+            "prefix state was lowered from another program, chip, bits "
+            "or seq_sync_cycles"
+        )
+    return PassManager.tail(pass_config, verify=verify).run(prefix).design
 
 
 def _map_rnn_monolith(

@@ -43,6 +43,12 @@ ordered pipeline, enforcing each pass's ``requires`` declaration
 :class:`~repro.errors.MappingError` without touching the state), timing
 every pass, and — by default — running the IR verifier
 (:func:`~repro.mapping.passes.verify.verify_state`) after every pass.
+
+Only the tail of the default pipeline depends on the
+:class:`PassConfig`: :meth:`PassManager.prefix` runs
+``DEFAULT_PIPELINE[:-1]``, :meth:`PassManager.tail` the config's
+optimization passes plus ``report_resources``.  One prefix run serves
+any number of configs, each tail on its own :meth:`MappingState.fork`.
 """
 
 from __future__ import annotations
@@ -197,6 +203,14 @@ class PassTiming:
     seconds: float
 
 
+def _shallow_copy(obj):
+    """A shallow copy of a plain ``__dict__``-backed instance; a quarter
+    of the cost of ``dataclasses.replace``, which re-runs ``__init__``."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__)
+    return twin
+
+
 @dataclass
 class MappingState:
     """The mapping IR: everything the passes produce, in one place.
@@ -257,6 +271,38 @@ class MappingState:
     completed: list[str] = field(default_factory=list)
     timings: list[PassTiming] = field(default_factory=list)
     trace_log: list[str] = field(default_factory=list)
+
+    def fork(self) -> "MappingState":
+        """An independent copy that a different pass tail can run on.
+
+        Copies exactly the IR the passes mutate: the stage and edge
+        drafts, the gate and element-wise plans, the placer's free lists
+        and overflow counters, the coordinate lists and the bookkeeping
+        (``completed``, ``timings``, ``trace_log``).  Shares what no pass
+        rewrites: the program, the chip, the traced loop records and the
+        recognized gates, and the frozen report outputs.  The fork keeps
+        the parent's ``timings``, so a design lowered on it reports the
+        shared passes' timings too.  A generic ``copy.deepcopy`` would
+        walk the whole trace tree and every layout coordinate instead.
+        """
+        twin = _shallow_copy(self)
+        twin.stages = {name: _shallow_copy(d) for name, d in self.stages.items()}
+        twin.edges = [_shallow_copy(edge) for edge in self.edges]
+        twin.gate_plans = [_shallow_copy(plan) for plan in self.gate_plans]
+        if self.ew_plan is not None:
+            twin.ew_plan = _shallow_copy(self.ew_plan)
+        if self.placer is not None:
+            twin.placer = _shallow_copy(self.placer)
+            twin.placer.free_pcus = list(self.placer.free_pcus)
+            twin.placer.free_pmus = list(self.placer.free_pmus)
+        twin.state_pmu_coords = list(self.state_pmu_coords)
+        twin.accum_coords = list(self.accum_coords)
+        twin.fused_groups = list(self.fused_groups)
+        twin.double_buffer_pmus = list(self.double_buffer_pmus)
+        twin.completed = list(self.completed)
+        twin.timings = list(self.timings)
+        twin.trace_log = list(self.trace_log)
+        return twin
 
     # -- IR manipulation helpers -----------------------------------------
 
@@ -393,22 +439,20 @@ class PassManager:
         self.trace_hook = trace_hook
 
     @classmethod
-    def default(
-        cls,
-        config: PassConfig | None = None,
-        *,
-        verify: bool = True,
-        trace_hook: Callable[[str, MappingState, float], None] | None = None,
+    def prefix(cls, *, verify: bool = True) -> "PassManager":
+        """The config-independent head of the default pipeline
+        (``DEFAULT_PIPELINE[:-1]``): one run of it serves every
+        :class:`PassConfig`, each on its own :meth:`MappingState.fork`."""
+        return cls(DEFAULT_PIPELINE[:-1], verify=verify)
+
+    @classmethod
+    def tail(
+        cls, config: PassConfig | None = None, *, verify: bool = True
     ) -> "PassManager":
-        """The default pipeline, with ``config``'s optimization passes
-        spliced in before ``report_resources``."""
+        """The rest of the default pipeline after :meth:`prefix`:
+        ``config``'s optimization passes, then ``report_resources``."""
         config = config or PassConfig()
-        names = (
-            DEFAULT_PIPELINE[:-1]
-            + config.optimization_names()
-            + DEFAULT_PIPELINE[-1:]
-        )
-        return cls(names, verify=verify, trace_hook=trace_hook)
+        return cls(config.optimization_names() + DEFAULT_PIPELINE[-1:], verify=verify)
 
     @property
     def pass_names(self) -> tuple[str, ...]:

@@ -7,6 +7,14 @@ the load anchor, then weight PMUs and ``[x, h]`` PMUs near the first dot
 PCU, then accumulate PCUs near the dot centroid and LUT PMUs beside
 them; finally the element-wise PCUs near the accumulate centroid.  Any
 deviation here is caught by the differential parity suite.
+
+Each take stable-sorts the free pool by Manhattan distance to its
+anchor (ties keep pool order), with the distance inlined in the sort
+key; it dominated the cold-tune profile when it called
+``GridLayout.manhattan`` per coordinate.  Placement is
+config-independent, so the chip tuner runs this pass once per
+parameter point and every pass config's tail works on a
+``MappingState.fork()``, which copies the placer's free lists.
 """
 
 from __future__ import annotations

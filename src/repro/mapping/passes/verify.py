@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from repro.errors import MappingError
 from repro.mapping.passes.core import MappingState
+from repro.mapping.pipeline import topological_generations
 
 __all__ = ["verify_state"]
 
@@ -37,22 +38,10 @@ def _fail(state: MappingState, message: str) -> None:
 
 
 def _check_acyclic(state: MappingState) -> None:
-    """Kahn's algorithm on the drafts (cheaper than building networkx)."""
-    indeg = {name: 0 for name in state.stages}
-    succs: dict[str, list[str]] = {name: [] for name in state.stages}
-    for edge in state.edges:
-        indeg[edge.dst] += 1
-        succs[edge.src].append(edge.dst)
-    ready = [n for n, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for nxt in succs[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if seen != len(state.stages):
+    order = topological_generations(
+        state.stages, ((edge.src, edge.dst) for edge in state.edges)
+    )
+    if len(order) != len(state.stages):
         _fail(state, "stage graph contains a cycle")
 
 
@@ -90,33 +79,45 @@ def _verify_skeleton(state: MappingState) -> None:
     _check_acyclic(state)
 
 
+def _check_units(
+    state: MappingState, name: str, kind: str, units, valid, overflowed: int
+) -> None:
+    """Fail on the first unit of stage ``name`` that is not a real
+    ``kind`` unit; the grid-edge coordinate passes only when the placer
+    counted an overflow."""
+    edge_coord = state.placer.edge_coord
+    overflow_ok = overflowed > 0
+    for unit in units:
+        if unit in valid:
+            continue
+        if unit == edge_coord and overflow_ok:
+            continue
+        _fail(state, f"stage {name!r} occupies non-{kind} unit {unit}")
+
+
 def _verify_placement(state: MappingState) -> None:
-    if state.placer is None:
+    placer = state.placer
+    if placer is None:
         _fail(state, "no placer after place_units")
     layout = state.chip.layout
-    pcu_set = set(layout.pcus)
-    pmu_set = set(layout.pmus)
-    edge_coord = state.placer.edge_coord
-    pcu_overflow_ok = state.placer.overflow_pcus > 0
-    pmu_overflow_ok = state.placer.overflow_pmus > 0
+    pcu_set = layout.pcu_set
+    pmu_set = layout.pmu_set
     for name, draft in state.stages.items():
         if draft.coord is None:
             _fail(state, f"stage {name!r} is unplaced")
         r, c = draft.coord
         if not (0 <= r < layout.rows and 0 <= c < layout.cols):
             _fail(state, f"stage {name!r} placed off-grid at {draft.coord}")
-        for unit in draft.units_pcu:
-            if unit in pcu_set:
-                continue
-            if unit == edge_coord and pcu_overflow_ok:
-                continue
-            _fail(state, f"stage {name!r} occupies non-PCU unit {unit}")
-        for unit in draft.units_pmu:
-            if unit in pmu_set:
-                continue
-            if unit == edge_coord and pmu_overflow_ok:
-                continue
-            _fail(state, f"stage {name!r} occupies non-PMU unit {unit}")
+        # Fast path: one C-level subset test per stage; the per-unit
+        # walk only runs to name the offender (or admit overflow).
+        if not pcu_set.issuperset(draft.units_pcu):
+            _check_units(
+                state, name, "PCU", draft.units_pcu, pcu_set, placer.overflow_pcus
+            )
+        if not pmu_set.issuperset(draft.units_pmu):
+            _check_units(
+                state, name, "PMU", draft.units_pmu, pmu_set, placer.overflow_pmus
+            )
     # Ledger conservation: what the placer handed out must exactly cover
     # the per-replica stage counts scaled by the hu replication.
     want_pcus = state.hu * sum(d.n_pcus for d in state.stages.values())

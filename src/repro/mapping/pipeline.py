@@ -13,12 +13,44 @@ state-broadcast drain that separates steps).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import Iterable
 
 from repro.errors import MappingError
 
-__all__ = ["Stage", "PipelineGraph"]
+__all__ = ["Stage", "PipelineGraph", "topological_generations"]
+
+
+def topological_generations(
+    nodes: Iterable[str], edges: Iterable[tuple[str, str]]
+) -> list[str]:
+    """Kahn's algorithm, emitted generation by generation.
+
+    Generation 0 is every node without predecessors, in ``nodes`` order;
+    generation ``k + 1`` is every node whose last predecessor sits in
+    generation ``k``, in the order those predecessors release it (each
+    node's successors in first-edge order, repeated edges counted once).
+    On a cycle the nodes on or behind it are never released, so the
+    result is shorter than ``nodes`` — callers compare lengths.
+
+    >>> topological_generations("abcd", [("a", "b"), ("b", "c"), ("a", "d")])
+    ['a', 'b', 'd', 'c']
+    >>> topological_generations("ab", [("a", "b"), ("b", "a")])
+    []
+    """
+    succs: dict[str, list[str]] = {node: [] for node in nodes}
+    indeg = dict.fromkeys(succs, 0)
+    for src, dst in dict.fromkeys(edges):  # repeated edges count once
+        succs[src].append(dst)
+        indeg[dst] += 1
+    order = [node for node, d in indeg.items() if d == 0]
+    # A FIFO queue: ``order`` grows while it is walked, so each node is
+    # released behind the whole generation before it.
+    for node in order:
+        for dst in succs[node]:
+            indeg[dst] -= 1
+            if not indeg[dst]:
+                order.append(dst)
+    return order
 
 
 @dataclass(frozen=True)
@@ -79,19 +111,13 @@ class PipelineGraph:
 
     # -- graph structure -----------------------------------------------------
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        for name in self.stages:
-            g.add_node(name)
-        for src, dst, route in self.edges:
-            g.add_edge(src, dst, route=route)
-        return g
-
     def topological_order(self) -> list[str]:
-        g = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(g):
+        order = topological_generations(
+            self.stages, ((src, dst) for src, dst, _ in self.edges)
+        )
+        if len(order) != len(self.stages):
             raise MappingError(f"pipeline {self.name!r} contains a cycle")
-        return list(nx.topological_sort(g))
+        return order
 
     def predecessors(self, name: str) -> list[tuple[str, int]]:
         return [(src, route) for src, dst, route in self.edges if dst == name]

@@ -12,6 +12,7 @@ registered switches with Manhattan distance between unit coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ConfigError
 
@@ -82,6 +83,18 @@ class GridLayout:
         """Switches sit at grid corners: (rows+1) x (cols+1)."""
         return (self.rows + 1) * (self.cols + 1)
 
+    # -- membership ----------------------------------------------------------
+
+    @cached_property
+    def pcu_set(self) -> frozenset[Coord]:
+        """``pcus`` as a set, built once per layout (placement checks)."""
+        return frozenset(self.pcus)
+
+    @cached_property
+    def pmu_set(self) -> frozenset[Coord]:
+        """``pmus`` as a set, built once per layout (placement checks)."""
+        return frozenset(self.pmus)
+
     # -- routing -----------------------------------------------------------
 
     @staticmethod
@@ -107,11 +120,10 @@ class GridLayout:
 
     def ascii_diagram(self, max_rows: int = 6, max_cols: int = 12) -> str:
         """Small ASCII rendering of the layout's upper-left corner."""
-        pcu_set = set(self.pcus)
         lines = []
         for r in range(min(self.rows, max_rows)):
             cells = []
             for c in range(min(self.cols, max_cols)):
-                cells.append("PCU" if (r, c) in pcu_set else "PMU")
+                cells.append("PCU" if (r, c) in self.pcu_set else "PMU")
             lines.append(" ".join(cells))
         return "\n".join(lines)

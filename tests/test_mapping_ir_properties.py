@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.dse.search import build_task_program
 from repro.errors import MappingError
-from repro.mapping.mapper import SEQ_SYNC_CYCLES
+from repro.mapping.mapper import SEQ_SYNC_CYCLES, _Placer
 from repro.mapping.passes import (
     DEFAULT_PIPELINE,
     MappingPass,
@@ -31,6 +31,7 @@ from repro.mapping.passes import (
     verify_state,
 )
 from repro.plasticine.chip import PlasticineConfig
+from repro.plasticine.network import GridLayout
 from repro.rnn.lstm_loop import LoopParams
 from repro.workloads.deepbench import RNNTask
 
@@ -246,3 +247,65 @@ class TestRegistry:
         prog = _random_program(random.Random(7))
         state = PassManager(passes).run(_fresh_state(prog))
         assert state.design is not None
+
+
+class _ManhattanKeyedPlacer(_Placer):
+    """The placer's allocation as first written: each take sorts the
+    pool by ``GridLayout.manhattan`` (the reference for the closure
+    key ``_Placer._take`` uses now)."""
+
+    def _take(self, pool, k, near):
+        if k > len(pool):
+            pool_sorted = sorted(pool, key=lambda p: self.chip.layout.manhattan(near, p))
+            taken = list(pool_sorted)
+            del pool[:]
+            overflow = k - len(taken)
+            taken.extend([self.edge_coord] * overflow)
+            return taken, overflow
+        pool.sort(key=lambda p: self.chip.layout.manhattan(near, p))
+        taken = pool[:k]
+        del pool[:k]
+        return taken, 0
+
+
+#: A 6x6 variant grid (12 PCUs, 24 PMUs): small enough that random
+#: request sequences overflow it.
+_SMALL_CHIP = PlasticineConfig(
+    name="plasticine-6x6",
+    layout=GridLayout.rnn_variant(6, 6),
+    pcu=PlasticineConfig.rnn_serving().pcu,
+    pmu=PlasticineConfig.rnn_serving().pmu,
+)
+
+_coord = st.tuples(st.integers(-2, 8), st.integers(-2, 8))
+_placer_op = st.one_of(
+    st.tuples(st.sampled_from(["take_pcus", "take_pmus"]), st.integers(0, 14), _coord),
+    st.tuples(st.sampled_from(["release_pcus", "release_pmus"]), st.integers(0, 8)),
+)
+
+
+class TestPlacerOrder:
+    @given(ops=st.lists(_placer_op, max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_manhattan_keyed_sort(self, ops):
+        fast, ref = _Placer(_SMALL_CHIP), _ManhattanKeyedPlacer(_SMALL_CHIP)
+        taken = {"pcus": [], "pmus": []}
+        for op in ops:
+            kind = op[0].split("_")[1]
+            if op[0].startswith("take"):
+                got = getattr(fast, op[0])(op[1], op[2])
+                assert got == getattr(ref, op[0])(op[1], op[2])
+                taken[kind].extend(got)
+            else:
+                # Give back the most recent ``n`` units (edge
+                # coordinates included: release filters them).
+                back = taken[kind][len(taken[kind]) - op[1]:] if op[1] else []
+                del taken[kind][len(taken[kind]) - len(back):]
+                getattr(fast, op[0])(back)
+                getattr(ref, op[0])(back)
+            assert fast.free_pcus == ref.free_pcus
+            assert fast.free_pmus == ref.free_pmus
+            assert (fast.overflow_pcus, fast.overflow_pmus) == (
+                ref.overflow_pcus,
+                ref.overflow_pmus,
+            )

@@ -193,3 +193,48 @@ class TestOptimizationDirections:
             + ("fuse_gates", "double_buffer")
             + DEFAULT_PIPELINE[-1:]
         )
+
+
+#: ``simulate_pipeline(...).activities`` key order, recorded when
+#: ``PipelineGraph.topological_order`` still called
+#: ``networkx.topological_sort``, for the ``bench_pass_pipeline.py``
+#: parity matrix (kind, hidden, bits, (hu, ru)) x the four pass configs.
+#: The order is generation by generation: every dot stage, then every
+#: accumulate stage, then the element-wise chain.
+ACTIVITY_ORDER_MATRIX = (
+    ("lstm", 256, 8, (2, 2)),
+    ("lstm", 1024, 8, (4, 8)),
+    ("lstm", 1152, 16, (4, 8)),
+    ("gru", 512, 8, (4, 4)),
+    ("gru", 1536, 32, (2, 4)),
+)
+ACTIVITY_ORDER_GOLDEN = {
+    # kind -> (without fuse_gates, with fuse_gates)
+    "lstm": (
+        "load_x dot_gate0 dot_gate1 dot_gate2 dot_gate3 "
+        "accum_gate0 accum_gate1 accum_gate2 accum_gate3 ew writeback",
+        "load_x dot_gate0 dot_gate1 dot_gate2 dot_gate3 accum_fused ew writeback",
+    ),
+    "gru": (
+        "load_x dot_gate_z dot_gate_r dot_gate_c "
+        "accum_gate_z accum_gate_r accum_gate_c ew writeback",
+        "load_x dot_gate_z dot_gate_r dot_gate_c accum_fused ew writeback",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,hidden,bits,shape",
+    ACTIVITY_ORDER_MATRIX,
+    ids=[f"{k}-{h}-{b}b" for k, h, b, _ in ACTIVITY_ORDER_MATRIX],
+)
+def test_activity_order_golden(kind, hidden, bits, shape):
+    hu, ru = shape
+    prog = build_task_program(
+        RNNTask(kind, hidden, 4), LoopParams(hu=hu, ru=ru, rv=64)
+    )
+    for fuse, double in itertools.product([False, True], repeat=2):
+        config = PassConfig(fuse_gates=fuse, double_buffer=double)
+        design = map_rnn_program(prog, bits=bits, pass_config=config)
+        order = list(simulate_pipeline(design.graph).activities)
+        assert order == ACTIVITY_ORDER_GOLDEN[kind][fuse].split(), config.key

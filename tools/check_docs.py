@@ -11,9 +11,12 @@ pass cannot land without a doc entry.  Every backticked CamelCase class
 name in ``docs/*.md`` and ``README.md`` (``StreamSummary``,
 ``Fleet.serve_stream`` ...) must be a class defined under ``src/repro``,
 so a deleted or renamed class cannot linger in the docs (Python's
-builtin classes, such as ``ValueError``, are accepted too).  Also
-sanity-checks that the docs/ suite and the README cross-link each
-other.
+builtin classes, such as ``ValueError``, are accepted too).  Every
+third-party package imported anywhere under ``src/repro`` (the first
+component of each absolute ``import``, lazy imports included) must be
+declared in ``setup.py``'s ``install_requires``, so a clean install can
+import what the code uses.  Also sanity-checks that the docs/ suite and
+the README cross-link each other.
 
 Run from the repo root (CI does):
 
@@ -23,6 +26,7 @@ Run from the repo root (CI does):
 from __future__ import annotations
 
 import argparse
+import ast
 import builtins
 import re
 import sys
@@ -35,6 +39,7 @@ DOCUMENTED_PACKAGES = (
     REPO / "src" / "repro" / "workloads",
 )
 ARCHITECTURE = REPO / "docs" / "ARCHITECTURE.md"
+SETUP = REPO / "setup.py"
 
 #: Docs that must exist and the links each must contain.
 REQUIRED_LINKS = {
@@ -82,6 +87,40 @@ def stale_class_names() -> list[str]:
                 if name and _CAMEL.fullmatch(name[1]) and name[1] not in defined:
                     stale.append(f"{doc.relative_to(REPO)}:{lineno}: {name[1]}")
     return stale
+
+
+def declared_requirements() -> set[str]:
+    """Import names of ``setup.py``'s ``install_requires`` entries (the
+    distribution name up to any version specifier, lower-cased, ``-``
+    read as ``_``; every declared package imports under that name)."""
+    declared: set[str] = set()
+    for node in ast.walk(ast.parse(SETUP.read_text())):
+        if isinstance(node, ast.keyword) and node.arg == "install_requires":
+            for item in ast.literal_eval(node.value):
+                name = re.match(r"[A-Za-z0-9_.-]+", item)[0]
+                declared.add(name.lower().replace("-", "_"))
+    return declared
+
+
+def undeclared_imports() -> list[str]:
+    """``path:line: name`` for each import under ``src/repro`` of a
+    top-level package that is neither the standard library, ``repro``
+    itself, nor declared in ``install_requires``."""
+    allowed = set(sys.stdlib_module_names) | {"repro"} | declared_requirements()
+    found = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in allowed:
+                    found.append(f"{path.relative_to(REPO)}:{node.lineno}: {top}")
+    return found
 
 
 def serve_flags() -> list[str]:
@@ -165,6 +204,11 @@ def main() -> int:
                 f"compiler pass {name!r}"
             )
 
+    for entry in undeclared_imports():
+        failures.append(
+            f"{entry} is imported but not declared in setup.py install_requires"
+        )
+
     stale = stale_class_names()
     for entry in stale:
         failures.append(f"{entry} names a class not defined under src/repro")
@@ -178,6 +222,7 @@ def main() -> int:
         f"docs-check ok: {n_modules} serving/workload modules documented, "
         f"{len(flags)} serve flags referenced, "
         f"{len(passes)} mapping passes documented, "
+        f"{len(declared_requirements())} dependencies declared, "
         f"{len(REQUIRED_LINKS)} docs cross-linked"
     )
     return 0
